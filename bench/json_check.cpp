@@ -116,9 +116,6 @@ void check_interp_speed(const exec::json::Value& v)
     const auto* tier = v.find("tier");
     if (!tier || !tier->is_string())
         throw exec::json::JsonError{"missing string key: tier"};
-    const auto* enabled = v.find("dbt_enabled");
-    if (!enabled || enabled->kind() != exec::json::Value::Kind::Bool)
-        throw exec::json::JsonError{"missing bool key: dbt_enabled"};
 }
 
 /// Validate one journal. The header is load-bearing (a journal without

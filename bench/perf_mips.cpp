@@ -91,10 +91,7 @@ int main(int argc, char** argv)
         for (int i = 1; i < argc; ++i) {
             if (exec::parse_grid_flag(grid, argc, argv, i)) continue;
             const std::string a = argv[i];
-            if (a == "--no-dbt") {
-                // Back-compat spelling of --tier interp.
-                tier = sim::ExecTier::Interp;
-            } else if (a == "--tier") {
+            if (a == "--tier") {
                 if (i + 1 >= argc)
                     throw common::ToolchainError{"--tier needs a name"};
                 const auto t = common::parse_choice_flag(
@@ -162,8 +159,6 @@ int main(int argc, char** argv)
                      "                   simulated results identical; the "
                      "HWST_TIER env var\n"
                      "                   overrides this flag)\n"
-                     "  --no-dbt         back-compat alias for --tier "
-                     "interp\n"
                      "  --repeat N       best-of-N timing per job "
                      "(default 1; rejects host\n"
                      "                   scheduler stalls)\n"
@@ -327,10 +322,8 @@ int main(int argc, char** argv)
         for (const Scheme s : schemes)
             snames.push_back(compiler::scheme_name(s));
         payload["schemes"] = snames;
-        // Requested tier (rows record what each Machine resolved to);
-        // dbt_enabled is the legacy boolean the trajectory predates.
+        // Requested tier (rows record what each Machine resolved to).
         payload["tier"] = std::string{sim::tier_name(tier)};
-        payload["dbt_enabled"] = tier != sim::ExecTier::Interp;
         payload["repeat"] = static_cast<common::u64>(repeat);
         payload["rows"] = rows;
         payload["geo_mean_mips"] = geo;

@@ -1,8 +1,8 @@
 // Shared environment-variable parsing for the HWST_* switches
-// (HWST_DBT, HWST_ISOLATE, HWST_SENTINEL, ...). One parser so every
+// (HWST_TIER, HWST_ISOLATE, HWST_SENTINEL, ...). One parser so every
 // switch accepts the same vocabulary and a typo'd value can never
-// silently flip a mode: the old per-site `e[0] != '0'` treated
-// HWST_DBT=off as *on*.
+// silently flip a mode: the old per-site `e[0] != '0'` treated a
+// switch set to `off` as *on*.
 #pragma once
 
 #include <cctype>

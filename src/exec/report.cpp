@@ -83,7 +83,7 @@ json::Value outcome_json(const Job& job, const JobOutcome& outcome)
 bool is_host_field(std::string_view key)
 {
     // wall_ms/run_ms/mips/geo_mean_mips: host timing. git_rev/jobs:
-    // provenance. tier/dbt/dbt_enabled/jit: the execution-tier choice
+    // provenance. tier/dbt/jit: the execution-tier choice
     // and the tiers' host-side counters — interp/dbt/jit envelopes must
     // compare equal once stripped (a tier may change host speed, never
     // simulated numbers). cache/cached: result-cache hit statistics — a
@@ -93,9 +93,9 @@ bool is_host_field(std::string_view key)
     // submit) must compare equal to an uninterrupted one.
     return key == "wall_ms" || key == "run_ms" || key == "mips" ||
            key == "geo_mean_mips" || key == "git_rev" || key == "jobs" ||
-           key == "tier" || key == "dbt" || key == "dbt_enabled" ||
-           key == "jit" || key == "repeat" || key == "cache" ||
-           key == "cached" || key == "recovered" || key == "deduped";
+           key == "tier" || key == "dbt" || key == "jit" ||
+           key == "repeat" || key == "cache" || key == "cached" ||
+           key == "recovered" || key == "deduped";
 }
 
 json::Value strip_host_fields(const json::Value& v)

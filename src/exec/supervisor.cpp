@@ -149,11 +149,8 @@ bool sentinel_sampled(const Job& job, unsigned sentinel)
 JobOutcome sentinel_check(const Job& job, unsigned attempt,
                           const SuperviseOptions& opts, JobOutcome primary)
 {
-    // With the accelerated tiers forced off globally (HWST_DBT=0 or
-    // HWST_TIER=interp) both runs would use the interpreter: nothing to
-    // cross-check.
-    if (common::env_flag("HWST_DBT") == std::optional<bool>{false})
-        return primary;
+    // With the accelerated tiers forced off globally (HWST_TIER=interp)
+    // both runs would use the interpreter: nothing to cross-check.
     if (common::env_choice("HWST_TIER",
                            {"auto", "interp", "dbt", "jit"}) ==
         std::optional<unsigned>{1})

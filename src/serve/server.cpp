@@ -310,7 +310,12 @@ void Server::stop()
 {
 #ifdef HWST_SERVE_POSIX
     if (!started_ || stopped_.exchange(true)) return;
-    stop_flag_.store(true);
+    {
+        // Set under the queue lock: a worker between its predicate check
+        // and its wait would otherwise miss the notify and never wake.
+        const std::lock_guard lock{queue_mutex_};
+        stop_flag_.store(true);
+    }
     queue_cv_.notify_all();
     if (accept_thread_.joinable()) accept_thread_.join();
     // In-flight cells observe the stop flag and drain cooperatively;

@@ -78,9 +78,6 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
     const unsigned dcache_hit = m.cfg_.dcache.hit_cycles;
     const unsigned lu_stall = m.cfg_.timing.load_use_stall;
     const unsigned taken_pen = m.cfg_.timing.branch_taken_penalty;
-    const auto& lay = m.program_.layout();
-    const u64 lock_base = lay.lock_base;
-    const u64 lock_bytes = lay.lock_entries * 8;
 
     u64 countdown = stride;
 
@@ -125,6 +122,8 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
 #define RS1 (m.regs_[op->rs1])
 #define RS2 (m.regs_[op->rs2])
 #define RD_REG (static_cast<Reg>(op->rd))
+#define RS1_REG (static_cast<Reg>(op->rs1))
+#define RS2_REG (static_cast<Reg>(op->rs2))
 #define IMM (static_cast<u64>(op->imm))
 
 // Plain writer: translation folded rd==zero variants of these kinds to
@@ -169,6 +168,8 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
         goto enter_block;                                                 \
     } while (0)
 
+// Plain loads skip mem_load's DcacheFillData probe test: a probe hook
+// forces the interpreter tier.
 #define LOAD_BODY(w, sx)                                                  \
     do {                                                                  \
         PRO();                                                            \
@@ -181,55 +182,20 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
         }                                                                 \
     } while (0)
 
-// Store body = mem_store inlined: dcache extra, keybuffer coherence
-// flush on key erasure (store of 0 into the lock region), then the
-// memory write. Same order, so a faulting store has identical partial
-// effects.
 #define STORE_BODY(w)                                                     \
     do {                                                                  \
         PRO();                                                            \
-        const u64 a_ = RS1 + IMM;                                         \
-        m.cycles_ += m.dcache_.access(a_) - dcache_hit;                   \
-        const u64 v_ = RS2;                                               \
-        if (v_ == 0 && a_ - lock_base < lock_bytes) m.keybuffer_.flush(); \
-        m.mem_.store(a_, (w), v_);                                        \
+        m.mem_store(RS1 + IMM, (w), RS2);                                 \
     } while (0)
 
-// Inline mirror of Machine::spatial_check (machine.cpp): same gate
-// order, same violation bookkeeping, same trap values. The
-// active_compression memo is read directly — the probe-hook bypass
-// cannot apply because a probe hook forces the interpreter tier.
-#define SPATIAL_CHECK(addr)                                               \
+// HWST unit operation (Machine's kernels, machine.hpp): pc_ first, so a
+// trap carries this op's pc and leaves through trap_at_op.
+#define UNIT(call)                                                        \
     do {                                                                  \
-        if (!m.csrs_.spatial_enabled()) break;                            \
-        const auto& se_ = m.srf_.entry(static_cast<Reg>(op->rs1));        \
-        if (!se_.valid_lo || se_.value.lo == 0) break;                    \
-        const auto ac_ = m.comp_version_ == m.csrs_.version()             \
-                             ? m.comp_memo_                               \
-                             : m.active_compression();                    \
-        if (!ac_.valid) {                                                 \
-            m.csrs_.record_violation(                                     \
-                static_cast<u64>(TrapKind::IllegalInstruction),           \
-                hwst::kCsrBitw);                                          \
-            tr = Trap{TrapKind::IllegalInstruction, hwst::kCsrBitw,       \
-                      op->pc};                                            \
-            goto trap_at_op;                                              \
-        }                                                                 \
-        if (metadata::is_saturated_spatial(se_.value.lo, ac_.cfg)) {      \
-            m.scu_.note_saturated();                                      \
-            m.csrs_.record_violation(                                     \
-                static_cast<u64>(TrapKind::SpatialViolation), (addr));    \
-            tr = Trap{TrapKind::SpatialViolation, (addr), op->pc};        \
-            goto trap_at_op;                                              \
-        }                                                                 \
-        u64 base_ = 0, bound_ = 0;                                        \
-        metadata::decompress_spatial(se_.value.lo, ac_.cfg, base_,        \
-                                     bound_);                             \
-        if (m.scu_.check((addr), op->width, base_, bound_).pass) break;   \
-        m.csrs_.record_violation(                                         \
-            static_cast<u64>(TrapKind::SpatialViolation), (addr));        \
-        tr = Trap{TrapKind::SpatialViolation, (addr), op->pc};            \
-        goto trap_at_op;                                                  \
+        PRO();                                                            \
+        m.pc_ = op->pc;                                                   \
+        tr = (call);                                                      \
+        if (tr.kind != TrapKind::None) goto trap_at_op;                   \
     } while (0)
 
 #define BRANCH_BODY(cond)                                                 \
@@ -302,10 +268,9 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             NEXT();
         L_Addi:
             PRO();
-            // rd==zero folded to Nop; propagate matches srf_effects'
-            // ADDI pointer-arithmetic rule.
+            // rd==zero folded to Nop.
             m.regs_[op->rd] = RS1 + IMM;
-            m.srf_.propagate(RD_REG, static_cast<Reg>(op->rs1));
+            m.srf_arith(riscv::Opcode::ADDI, RD_REG, RS1_REG, Reg::zero);
             NEXT();
         L_Slti:
             PRO();
@@ -360,21 +325,9 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
         L_Add:
             PRO();
             {
-                // Full srf_effects ADD rule, including the unguarded
-                // clear on the both-or-neither branch (it mutates SRF
-                // entry 0 when rd is x0 — see srf_effects).
                 const u64 v = RS1 + RS2;
                 if (op->rd) m.regs_[op->rd] = v;
-                const auto& ea = m.srf_.entry(static_cast<Reg>(op->rs1));
-                const auto& eb = m.srf_.entry(static_cast<Reg>(op->rs2));
-                const bool a = ea.valid_lo || ea.valid_hi;
-                const bool b = eb.valid_lo || eb.valid_hi;
-                if (a && !b)
-                    m.srf_.propagate(RD_REG, static_cast<Reg>(op->rs1));
-                else if (b && !a)
-                    m.srf_.propagate(RD_REG, static_cast<Reg>(op->rs2));
-                else
-                    m.srf_.clear(RD_REG);
+                m.srf_arith(riscv::Opcode::ADD, RD_REG, RS1_REG, RS2_REG);
             }
             NEXT();
         L_Sub:
@@ -382,13 +335,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             {
                 const u64 v = RS1 - RS2;
                 if (op->rd) m.regs_[op->rd] = v;
-                const auto& ea = m.srf_.entry(static_cast<Reg>(op->rs1));
-                const auto& eb = m.srf_.entry(static_cast<Reg>(op->rs2));
-                if ((ea.valid_lo || ea.valid_hi) &&
-                    !(eb.valid_lo || eb.valid_hi))
-                    m.srf_.propagate(RD_REG, static_cast<Reg>(op->rs1));
-                else
-                    m.srf_.clear(RD_REG);
+                m.srf_arith(riscv::Opcode::SUB, RD_REG, RS1_REG, RS2_REG);
             }
             NEXT();
         L_Sll:
@@ -574,164 +521,37 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             STORE_BODY(8);
             NEXT();
         L_CheckedLoad:
-            PRO();
-            {
-                m.pc_ = op->pc; // traps leave pc_ at the faulting pc
-                const u64 a = RS1 + IMM;
-                SPATIAL_CHECK(a);
-                m.cycles_ += m.dcache_.access(a) - dcache_hit;
-                const u64 v =
-                    m.mem_.load(a, op->width,
-                                (op->flags & kOpSignedLoad) != 0);
-                if (op->rd) {
-                    m.regs_[op->rd] = v;
-                    m.srf_.clear(RD_REG);
-                }
-            }
+            UNIT(m.checked_load(RD_REG, RS1_REG, op->imm, op->width,
+                                (op->flags & kOpSignedLoad) != 0));
             NEXT();
         L_CheckedStore:
-            PRO();
-            {
-                m.pc_ = op->pc;
-                const u64 a = RS1 + IMM;
-                SPATIAL_CHECK(a);
-                m.cycles_ += m.dcache_.access(a) - dcache_hit;
-                const u64 v = RS2;
-                if (v == 0 && a - lock_base < lock_bytes)
-                    m.keybuffer_.flush();
-                m.mem_.store(a, op->width, v);
-            }
+            UNIT(m.checked_store(RS1_REG, RS2_REG, op->imm, op->width));
             NEXT();
         L_Hwst:
-            PRO();
             {
-                // Generic path for the HWST metadata ops (binds, shadow
-                // moves, tchk, ...): same executor + srf rule the
-                // interpreter uses, minus its per-step bookkeeping.
+                // Generic path for the remaining HWST metadata ops: same
+                // executor + srf rule the interpreter uses, minus its
+                // per-step bookkeeping.
                 const Uop& u = m.uops_[op->uop_idx];
-                m.pc_ = op->pc;
-                const Trap t = m.exec_hwst(u.in);
-                if (t.kind != TrapKind::None) {
-                    tr = t;
-                    goto trap_at_op;
-                }
+                UNIT(m.exec_hwst(u.in));
                 m.srf_effects(u.in, u.fmt);
             }
             NEXT();
         L_SbdStore:
             PRO();
-            {
-                // sbdl/sbdu inlined from exec_hwst: store one SRF half
-                // into the LMSM slot. Same effect order (SMAC count,
-                // D-cache extra, memory write) so a faulting store has
-                // identical partial effects; srf_effects is a no-op.
-                m.pc_ = op->pc;
-                const auto& e = m.srf_.entry(static_cast<Reg>(op->rs2));
-                const u64 a =
-                    m.smac_.map(RS1 + IMM, m.csrs_.sm_offset()) + op->aux;
-                const u64 v = op->aux ? (e.valid_hi ? e.value.hi : 0)
-                                      : (e.valid_lo ? e.value.lo : 0);
-                m.cycles_ += m.dcache_.access(a) - dcache_hit;
-                m.mem_.store(a, 8, v);
-            }
+            m.pc_ = op->pc; // cannot trap, but may fault
+            m.sbd(op->aux != 0, RS1_REG, RS2_REG, op->imm);
             NEXT();
         L_LbdLoad:
             PRO();
-            {
-                // lbdls/lbdus inlined: load one LMSM slot into the SRF
-                // half; a zero slot marks the half invalid.
-                m.pc_ = op->pc;
-                const u64 a =
-                    m.smac_.map(RS1 + IMM, m.csrs_.sm_offset()) + op->aux;
-                m.cycles_ += m.dcache_.access(a) - dcache_hit;
-                const u64 v = m.mem_.load(a, 8, false);
-                if (op->aux)
-                    m.srf_.set_hi(RD_REG, v, v != 0);
-                else
-                    m.srf_.set_lo(RD_REG, v, v != 0);
-            }
+            m.pc_ = op->pc;
+            m.lbd(op->aux != 0, RD_REG, RS1_REG, op->imm);
             NEXT();
         L_Tchk:
-            PRO();
-            {
-                // tchk inlined from exec_hwst, including the
-                // active_compression memo check (the probe-hook bypass
-                // cannot apply: a probe hook forces the interpreter
-                // tier). The keybuffer-miss D-cache access is a full
-                // access — a second memory operation — not an extra,
-                // exactly as exec_hwst charges it.
-                m.pc_ = op->pc;
-                if (!m.csrs_.temporal_enabled()) NEXT();
-                const auto& e = m.srf_.entry(static_cast<Reg>(op->rs1));
-                if (!e.valid_hi || e.value.hi == 0) NEXT();
-                const auto ac = m.comp_version_ == m.csrs_.version()
-                                    ? m.comp_memo_
-                                    : m.active_compression();
-                if (!ac.valid) {
-                    m.csrs_.record_violation(
-                        static_cast<u64>(TrapKind::IllegalInstruction),
-                        hwst::kCsrBitw);
-                    tr = Trap{TrapKind::IllegalInstruction, hwst::kCsrBitw,
-                              op->pc};
-                    goto trap_at_op;
-                }
-                if (metadata::is_saturated_temporal(e.value.hi, ac.cfg)) {
-                    m.tcu_.note_saturated();
-                    m.csrs_.record_violation(
-                        static_cast<u64>(TrapKind::TemporalViolation), RS1);
-                    tr = Trap{TrapKind::TemporalViolation, RS1, op->pc};
-                    goto trap_at_op;
-                }
-                u64 key = 0, lock = 0;
-                metadata::decompress_temporal(e.value.hi, ac.cfg, key,
-                                              lock);
-                u64 mem_key = 0;
-                if (!m.cfg_.keybuffer_enabled) {
-                    m.cycles_ += m.dcache_.access(lock);
-                    mem_key = m.mem_.load(lock, 8, false);
-                } else if (const auto hit = m.keybuffer_.lookup(lock)) {
-                    mem_key = *hit;
-                } else {
-                    m.cycles_ += m.dcache_.access(lock);
-                    mem_key = m.mem_.load(lock, 8, false);
-                    m.keybuffer_.insert(lock, mem_key);
-                }
-                if (!m.tcu_.check(key, mem_key).pass) {
-                    m.csrs_.record_violation(
-                        static_cast<u64>(TrapKind::TemporalViolation),
-                        lock);
-                    tr = Trap{TrapKind::TemporalViolation, lock, op->pc};
-                    goto trap_at_op;
-                }
-            }
+            UNIT(m.tchk(RS1_REG));
             NEXT();
         L_Bndr:
-            PRO();
-            {
-                // bndrs/bndrt inlined from exec_hwst: compress one
-                // metadata half (rs1 = base/key, rs2 = bound/lock) into
-                // the SRF; srf_effects is a no-op for both.
-                m.pc_ = op->pc;
-                const auto ac = m.comp_version_ == m.csrs_.version()
-                                    ? m.comp_memo_
-                                    : m.active_compression();
-                if (!ac.valid) {
-                    m.csrs_.record_violation(
-                        static_cast<u64>(TrapKind::IllegalInstruction),
-                        hwst::kCsrBitw);
-                    tr = Trap{TrapKind::IllegalInstruction, hwst::kCsrBitw,
-                              op->pc};
-                    goto trap_at_op;
-                }
-                if (op->aux)
-                    m.srf_.bind_temporal(
-                        RD_REG, metadata::compress_temporal(RS1, RS2,
-                                                            ac.cfg));
-                else
-                    m.srf_.bind_spatial(
-                        RD_REG, metadata::compress_spatial(RS1, RS2,
-                                                           ac.cfg));
-            }
+            UNIT(m.bndr(op->aux != 0, RD_REG, RS1_REG, RS2_REG));
             NEXT();
         L_Beq:
             BRANCH_BODY(RS1 == RS2);
@@ -830,10 +650,12 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
 #undef RS1
 #undef RS2
 #undef RD_REG
+#undef RS1_REG
+#undef RS2_REG
 #undef IMM
 #undef WR_CLEAR
 #undef APPLY_BATCH
-#undef SPATIAL_CHECK
+#undef UNIT
 #undef CHAIN
 #undef LOAD_BODY
 #undef STORE_BODY

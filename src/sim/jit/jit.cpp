@@ -4,11 +4,11 @@
 //
 //  * Everything non-trivial (checked ops, HWST metadata ops, div/rem
 //    corner cases, slow memory paths, interp-one) calls back into C++
-//    helpers in JitOps below, which are line-for-line transcriptions of
-//    the dispatcher bodies in sim/dispatch.cpp. Helpers never unwind
-//    through emitted frames: MemFault is caught inside and converted to
-//    an exit-with-trap, exactly where the dispatcher's catch converts
-//    it.
+//    helpers in JitOps below. The HWST ops call the same Machine unit
+//    kernels (machine.hpp) as the interpreter and the dispatcher, so
+//    their semantics exist once. Helpers never unwind through emitted
+//    frames: MemFault is caught inside and converted to an
+//    exit-with-trap, exactly where the dispatcher's catch converts it.
 //  * The inlined fast paths (ALU ops, load/store TLB probe, cache
 //    recent-line probe, SRF clear/propagate) replicate structures whose
 //    owners publish an explicit emitted-code contract: mem::Memory::
@@ -50,10 +50,10 @@ u64 sext32(u64 v)
 } // namespace
 
 // ---------------------------------------------------------------------
-// Helper call-outs. Each is a transcription of the matching dispatcher
-// body (sim/dispatch.cpp), minus the PRO() prologue, which the
-// templates emit inline. Status helpers return 0 = continue in emitted
-// code, 1 = exit (the JitContext holds the reason).
+// Helper call-outs: the matching dispatcher body (sim/dispatch.cpp)
+// minus the PRO() prologue, which the templates emit inline. Status
+// helpers return 0 = continue in emitted code, 1 = exit (the
+// JitContext holds the reason).
 // ---------------------------------------------------------------------
 struct JitOps {
     // ---- void helpers (cannot exit) ---------------------------------
@@ -261,209 +261,61 @@ struct JitOps {
         }
     }
 
-    /// SPATIAL_CHECK transcription (dispatch.cpp); 0 = pass.
-    static u64 spatial(Machine* m, const SbOp* op, JitContext* c, u64 addr)
-    {
-        if (!m->csrs_.spatial_enabled()) return 0;
-        const auto& se = m->srf_.entry(static_cast<Reg>(op->rs1));
-        if (!se.valid_lo || se.value.lo == 0) return 0;
-        const auto ac = m->comp_version_ == m->csrs_.version()
-                            ? m->comp_memo_
-                            : m->active_compression();
-        if (!ac.valid) {
-            m->csrs_.record_violation(
-                static_cast<u64>(TrapKind::IllegalInstruction),
-                hwst::kCsrBitw);
-            return trap_out(c, op, TrapKind::IllegalInstruction,
-                            hwst::kCsrBitw, op->pc);
-        }
-        if (metadata::is_saturated_spatial(se.value.lo, ac.cfg)) {
-            m->scu_.note_saturated();
-            m->csrs_.record_violation(
-                static_cast<u64>(TrapKind::SpatialViolation), addr);
-            return trap_out(c, op, TrapKind::SpatialViolation, addr,
-                            op->pc);
-        }
-        u64 base = 0, bound = 0;
-        metadata::decompress_spatial(se.value.lo, ac.cfg, base, bound);
-        if (m->scu_.check(addr, op->width, base, bound).pass) return 0;
-        m->csrs_.record_violation(
-            static_cast<u64>(TrapKind::SpatialViolation), addr);
-        return trap_out(c, op, TrapKind::SpatialViolation, addr, op->pc);
-    }
-
-    static u64 checked_load(Machine* m, const SbOp* op, JitContext* c)
+    // ---- HWST unit operations ---------------------------------------
+    /// The one status helper around the Machine's unit kernels
+    /// (machine.hpp), as the dispatcher's UNIT(): pc_ first, then the
+    /// kernel; its trap — or a MemFault — becomes an exit-with-trap.
+    template <Trap (*Kernel)(Machine&, const SbOp&)>
+    static u64 unit(Machine* m, const SbOp* op, JitContext* c)
     {
         try {
             m->pc_ = op->pc; // traps leave pc_ at the faulting pc
-            const u64 a = m->regs_[op->rs1] + static_cast<u64>(op->imm);
-            if (const u64 st = spatial(m, op, c, a)) return st;
-            m->cycles_ +=
-                m->dcache_.access(a) - m->cfg_.dcache.hit_cycles;
-            const u64 v = m->mem_.load(a, op->width,
-                                       (op->flags & kOpSignedLoad) != 0);
-            if (op->rd) {
-                m->regs_[op->rd] = v;
-                m->srf_.clear(static_cast<Reg>(op->rd));
-            }
-            return 0;
+            const Trap t = Kernel(*m, *op);
+            if (t.kind == TrapKind::None) return 0;
+            return trap_out(c, op, t.kind, t.addr, t.pc);
         } catch (const MemFault& f) {
             return trap_out(c, op, TrapKind::AccessFault, f.addr, op->pc);
         }
     }
-
-    static u64 checked_store(Machine* m, const SbOp* op, JitContext* c)
+    // Operand mapping of each unit-op SbKind onto its kernel.
+    static Reg rd(const SbOp& op) { return static_cast<Reg>(op.rd); }
+    static Reg rs1(const SbOp& op) { return static_cast<Reg>(op.rs1); }
+    static Reg rs2(const SbOp& op) { return static_cast<Reg>(op.rs2); }
+    static Trap checked_load(Machine& m, const SbOp& op)
     {
-        try {
-            m->pc_ = op->pc;
-            const u64 a = m->regs_[op->rs1] + static_cast<u64>(op->imm);
-            if (const u64 st = spatial(m, op, c, a)) return st;
-            m->cycles_ +=
-                m->dcache_.access(a) - m->cfg_.dcache.hit_cycles;
-            const u64 v = m->regs_[op->rs2];
-            const auto& lay = m->program_.layout();
-            if (v == 0 && a - lay.lock_base < lay.lock_entries * 8)
-                m->keybuffer_.flush();
-            m->mem_.store(a, op->width, v);
-            return 0;
-        } catch (const MemFault& f) {
-            return trap_out(c, op, TrapKind::AccessFault, f.addr, op->pc);
-        }
+        return m.checked_load(rd(op), rs1(op), op.imm, op.width,
+                              (op.flags & kOpSignedLoad) != 0);
+    }
+    static Trap checked_store(Machine& m, const SbOp& op)
+    {
+        return m.checked_store(rs1(op), rs2(op), op.imm, op.width);
+    }
+    static Trap sbd(Machine& m, const SbOp& op)
+    {
+        m.sbd(op.aux != 0, rs1(op), rs2(op), op.imm);
+        return {};
+    }
+    static Trap lbd(Machine& m, const SbOp& op)
+    {
+        m.lbd(op.aux != 0, rd(op), rs1(op), op.imm);
+        return {};
+    }
+    static Trap tchk(Machine& m, const SbOp& op) { return m.tchk(rs1(op)); }
+    static Trap bndr(Machine& m, const SbOp& op)
+    {
+        return m.bndr(op.aux != 0, rd(op), rs1(op), rs2(op));
+    }
+    /// The remaining HWST metadata ops, through the interpreter's
+    /// executor and srf rule (the dispatcher's L_Hwst).
+    static Trap hwst(Machine& m, const SbOp& op)
+    {
+        const Uop& u = m.uops_[op.uop_idx];
+        const Trap t = m.exec_hwst(u.in);
+        if (t.kind == TrapKind::None) m.srf_effects(u.in, u.fmt);
+        return t;
     }
 
-    static u64 sbd_store(Machine* m, const SbOp* op, JitContext* c)
-    {
-        try {
-            m->pc_ = op->pc;
-            const auto& e = m->srf_.entry(static_cast<Reg>(op->rs2));
-            const u64 a = m->smac_.map(m->regs_[op->rs1] +
-                                           static_cast<u64>(op->imm),
-                                       m->csrs_.sm_offset()) +
-                          op->aux;
-            const u64 v = op->aux ? (e.valid_hi ? e.value.hi : 0)
-                                  : (e.valid_lo ? e.value.lo : 0);
-            m->cycles_ +=
-                m->dcache_.access(a) - m->cfg_.dcache.hit_cycles;
-            m->mem_.store(a, 8, v);
-            return 0;
-        } catch (const MemFault& f) {
-            return trap_out(c, op, TrapKind::AccessFault, f.addr, op->pc);
-        }
-    }
-
-    static u64 lbd_load(Machine* m, const SbOp* op, JitContext* c)
-    {
-        try {
-            m->pc_ = op->pc;
-            const u64 a = m->smac_.map(m->regs_[op->rs1] +
-                                           static_cast<u64>(op->imm),
-                                       m->csrs_.sm_offset()) +
-                          op->aux;
-            m->cycles_ +=
-                m->dcache_.access(a) - m->cfg_.dcache.hit_cycles;
-            const u64 v = m->mem_.load(a, 8, false);
-            if (op->aux)
-                m->srf_.set_hi(static_cast<Reg>(op->rd), v, v != 0);
-            else
-                m->srf_.set_lo(static_cast<Reg>(op->rd), v, v != 0);
-            return 0;
-        } catch (const MemFault& f) {
-            return trap_out(c, op, TrapKind::AccessFault, f.addr, op->pc);
-        }
-    }
-
-    static u64 tchk(Machine* m, const SbOp* op, JitContext* c)
-    {
-        try {
-            m->pc_ = op->pc;
-            if (!m->csrs_.temporal_enabled()) return 0;
-            const auto& e = m->srf_.entry(static_cast<Reg>(op->rs1));
-            if (!e.valid_hi || e.value.hi == 0) return 0;
-            const auto ac = m->comp_version_ == m->csrs_.version()
-                                ? m->comp_memo_
-                                : m->active_compression();
-            if (!ac.valid) {
-                m->csrs_.record_violation(
-                    static_cast<u64>(TrapKind::IllegalInstruction),
-                    hwst::kCsrBitw);
-                return trap_out(c, op, TrapKind::IllegalInstruction,
-                                hwst::kCsrBitw, op->pc);
-            }
-            if (metadata::is_saturated_temporal(e.value.hi, ac.cfg)) {
-                m->tcu_.note_saturated();
-                m->csrs_.record_violation(
-                    static_cast<u64>(TrapKind::TemporalViolation),
-                    m->regs_[op->rs1]);
-                return trap_out(c, op, TrapKind::TemporalViolation,
-                                m->regs_[op->rs1], op->pc);
-            }
-            u64 key = 0, lock = 0;
-            metadata::decompress_temporal(e.value.hi, ac.cfg, key, lock);
-            u64 mem_key = 0;
-            if (!m->cfg_.keybuffer_enabled) {
-                m->cycles_ += m->dcache_.access(lock);
-                mem_key = m->mem_.load(lock, 8, false);
-            } else if (const auto hit = m->keybuffer_.lookup(lock)) {
-                mem_key = *hit;
-            } else {
-                m->cycles_ += m->dcache_.access(lock);
-                mem_key = m->mem_.load(lock, 8, false);
-                m->keybuffer_.insert(lock, mem_key);
-            }
-            if (!m->tcu_.check(key, mem_key).pass) {
-                m->csrs_.record_violation(
-                    static_cast<u64>(TrapKind::TemporalViolation), lock);
-                return trap_out(c, op, TrapKind::TemporalViolation, lock,
-                                op->pc);
-            }
-            return 0;
-        } catch (const MemFault& f) {
-            return trap_out(c, op, TrapKind::AccessFault, f.addr, op->pc);
-        }
-    }
-
-    static u64 bndr(Machine* m, const SbOp* op, JitContext* c)
-    {
-        m->pc_ = op->pc;
-        const auto ac = m->comp_version_ == m->csrs_.version()
-                            ? m->comp_memo_
-                            : m->active_compression();
-        if (!ac.valid) {
-            m->csrs_.record_violation(
-                static_cast<u64>(TrapKind::IllegalInstruction),
-                hwst::kCsrBitw);
-            return trap_out(c, op, TrapKind::IllegalInstruction,
-                            hwst::kCsrBitw, op->pc);
-        }
-        if (op->aux)
-            m->srf_.bind_temporal(
-                static_cast<Reg>(op->rd),
-                metadata::compress_temporal(m->regs_[op->rs1],
-                                            m->regs_[op->rs2], ac.cfg));
-        else
-            m->srf_.bind_spatial(
-                static_cast<Reg>(op->rd),
-                metadata::compress_spatial(m->regs_[op->rs1],
-                                           m->regs_[op->rs2], ac.cfg));
-        return 0;
-    }
-
-    static u64 hwst(Machine* m, const SbOp* op, JitContext* c)
-    {
-        try {
-            const Uop& u = m->uops_[op->uop_idx];
-            m->pc_ = op->pc;
-            const Trap t = m->exec_hwst(u.in);
-            if (t.kind != TrapKind::None)
-                return trap_out(c, op, t.kind, t.addr, t.pc);
-            m->srf_effects(u.in, u.fmt);
-            return 0;
-        } catch (const MemFault& f) {
-            return trap_out(c, op, TrapKind::AccessFault, f.addr, op->pc);
-        }
-    }
-
-    /// L_InterpOne transcription. The emitted code applied the batch
+    /// The dispatcher's L_InterpOne. The emitted code applied the batch
     /// already; this always exits (no chaining past a proxy-kernel
     /// call). A trap here is final: the batch accounting stands, like
     /// the dispatcher's batch_applied path.
@@ -725,13 +577,13 @@ struct RtEmitter {
         tramp_void2(&JitOps::divuw);
         tramp_void2(&JitOps::remw);
         tramp_void2(&JitOps::remuw);
-        tramp_status3(&JitOps::checked_load);
-        tramp_status3(&JitOps::checked_store);
-        tramp_status3(&JitOps::sbd_store);
-        tramp_status3(&JitOps::lbd_load);
-        tramp_status3(&JitOps::tchk);
-        tramp_status3(&JitOps::bndr);
-        tramp_status3(&JitOps::hwst);
+        tramp_status3(&JitOps::unit<&JitOps::checked_load>);
+        tramp_status3(&JitOps::unit<&JitOps::checked_store>);
+        tramp_status3(&JitOps::unit<&JitOps::sbd>);
+        tramp_status3(&JitOps::unit<&JitOps::lbd>);
+        tramp_status3(&JitOps::unit<&JitOps::tchk>);
+        tramp_status3(&JitOps::unit<&JitOps::bndr>);
+        tramp_status3(&JitOps::unit<&JitOps::hwst>);
         tramp_status3(&JitOps::interp_one);
         tramp_status4(&JitOps::load_slow<1, true>);
         tramp_status4(&JitOps::load_slow<2, true>);
@@ -1111,7 +963,7 @@ struct BlockEmitter {
         a.bind(Ldone);
         cold([this, &op, Lmeta, Ldone] {
             a.bind(Lmeta);
-            call_status(&JitOps::checked_load, &op);
+            call_status(&JitOps::unit<&JitOps::checked_load>, &op);
             a.jmp(Ldone);
         });
     }
@@ -1128,7 +980,7 @@ struct BlockEmitter {
         a.bind(Ldone);
         cold([this, &op, Lmeta, Ldone] {
             a.bind(Lmeta);
-            call_status(&JitOps::checked_store, &op);
+            call_status(&JitOps::unit<&JitOps::checked_store>, &op);
             a.jmp(Ldone);
         });
     }
@@ -1150,7 +1002,7 @@ struct BlockEmitter {
         a.bind(Ldone);
         cold([this, &op, Lmeta, Ldone] {
             a.bind(Lmeta);
-            call_status(&JitOps::tchk, &op);
+            call_status(&JitOps::unit<&JitOps::tchk>, &op);
             a.jmp(Ldone);
         });
     }
@@ -1438,18 +1290,20 @@ struct BlockEmitter {
         case SbKind::Sd: emit_plain_store(op, 8); break;
         case SbKind::CheckedLoad: emit_checked_load(op); break;
         case SbKind::CheckedStore: emit_checked_store(op); break;
-        case SbKind::SbdStore: helper_status(&JitOps::sbd_store); break;
+        case SbKind::SbdStore:
+            helper_status(&JitOps::unit<&JitOps::sbd>);
+            break;
         case SbKind::LbdLoad:
-            helper_status(&JitOps::lbd_load);
+            helper_status(&JitOps::unit<&JitOps::lbd>);
             srf_zero &= ~(1u << op.rd); // sets rd's lo or hi half
             break;
         case SbKind::Tchk: emit_tchk(op); break;
         case SbKind::Bndr:
-            helper_status(&JitOps::bndr);
+            helper_status(&JitOps::unit<&JitOps::bndr>);
             srf_zero &= ~(1u << op.rd); // binds metadata into rd
             break;
         case SbKind::Hwst:
-            helper_status(&JitOps::hwst);
+            helper_status(&JitOps::unit<&JitOps::hwst>);
             srf_zero = 0; // srf_effects may touch any entry
             break;
         case SbKind::Beq: emit_branch(op, CC_E); break;

@@ -163,41 +163,17 @@ Machine::Machine(const riscv::Program& program, MachineConfig cfg)
                 hwst::kStatusSpatialEnable | hwst::kStatusTemporalEnable);
 
     // Execution-tier resolution (docs/performance.md): HWST_TIER
-    // (interp/dbt/jit/auto) overrides cfg.tier; the legacy boolean
-    // HWST_DBT overrides cfg.dbt (0/off/false = interpreter). When both
-    // are set and disagree, HWST_TIER wins with a warn-once diagnostic.
-    // Auto resolves to the fastest tier this host/build can execute.
-    {
-        const auto env_dbt = common::env_flag("HWST_DBT");
-        if (env_dbt) cfg_.dbt = *env_dbt;
-        const auto env_tier = common::env_choice(
-            "HWST_TIER", {"auto", "interp", "dbt", "jit"});
-        if (env_tier) cfg_.tier = static_cast<ExecTier>(*env_tier);
-        if (env_tier && env_dbt) {
-            const bool conflict =
-                (!*env_dbt && cfg_.tier != ExecTier::Interp &&
-                 cfg_.tier != ExecTier::Auto) ||
-                (*env_dbt && cfg_.tier == ExecTier::Interp);
-            if (conflict)
-                common::warn_once(
-                    "HWST_TIER/HWST_DBT",
-                    std::string{"[env] HWST_DBT and HWST_TIER disagree "
-                                "(HWST_TIER="} +
-                        std::string{tier_name(cfg_.tier)} +
-                        " wins over HWST_DBT=" +
-                        (*env_dbt ? "1" : "0") + ")\n");
-        }
-        ExecTier t = cfg_.tier;
-        if (t == ExecTier::Auto)
-            t = cfg_.dbt ? (jit::jit_supported() ? ExecTier::Jit
-                                                 : ExecTier::Dbt)
-                         : ExecTier::Interp;
-        // An explicitly requested JIT degrades to the dispatcher when
-        // the build/host cannot execute emitted code (sanitizers,
-        // non-x86-64): same simulated results, still translated.
-        if (t == ExecTier::Jit && !jit::jit_supported()) t = ExecTier::Dbt;
-        tier_ = t;
-    }
+    // (interp/dbt/jit/auto) overrides cfg.tier. Auto resolves to the
+    // fastest tier this host/build can execute; an explicit JIT
+    // degrades to the dispatcher when the build/host cannot execute
+    // emitted code (sanitizers, non-x86-64): same simulated results,
+    // still translated.
+    if (const auto env_tier = common::env_choice(
+            "HWST_TIER", {"auto", "interp", "dbt", "jit"}))
+        cfg_.tier = static_cast<ExecTier>(*env_tier);
+    tier_ = cfg_.tier;
+    if (tier_ == ExecTier::Auto || tier_ == ExecTier::Jit)
+        tier_ = jit::jit_supported() ? ExecTier::Jit : ExecTier::Dbt;
 
     // Translated-block invalidation: any remap drops every superblock —
     // and with them the native code, which bakes SbOp addresses.
@@ -222,43 +198,8 @@ void Machine::jit_drop_code()
     if (jit_) jit_->drop_code(jit_stats_);
 }
 
-unsigned Machine::dcache_extra(u64 addr)
+Machine::ActiveCompression Machine::decode_compression()
 {
-    return dcache_.access(addr) - cfg_.dcache.hit_cycles;
-}
-
-u64 Machine::mem_load(u64 addr, unsigned width, bool sign_extend)
-{
-    cycles_ += dcache_extra(addr);
-    u64 value = mem_.load(addr, width, sign_extend);
-    // Fill data is the one datapath HWST metadata does not cover (the
-    // paper leaves data integrity to ECC); expose it as its own probe.
-    if (probe_hook_ && dcache_.last_access_missed())
-        value = probe_hook_(Probe::DcacheFillData, instret_, value);
-    return value;
-}
-
-void Machine::mem_store(u64 addr, unsigned width, u64 value)
-{
-    cycles_ += dcache_extra(addr);
-    // Keybuffer coherence: a key *erasure* (store of 0 into the lock
-    // region — what frees do) clears the keybuffer (paper §3.5).
-    // Non-zero writes mint fresh keys, which cannot be cached yet.
-    const auto& lay = program_.layout();
-    if (value == 0 && addr >= lay.lock_base &&
-        addr < lay.lock_base + lay.lock_entries * 8) {
-        keybuffer_.flush();
-    }
-    mem_.store(addr, width, value);
-}
-
-Machine::ActiveCompression Machine::active_compression()
-{
-    // Memoized against the CSR file's version counter: the decode +
-    // validate work only reruns after a CSR write. A probe hook
-    // bypasses the memo entirely — it must observe (and may perturb)
-    // every single invocation.
-    if (!probe_hook_ && comp_version_ == csrs_.version()) return comp_memo_;
     const u64 bitw = probe(Probe::CompCsrWidths,
                            csrs_.read(hwst::kCsrBitw).value_or(0));
     auto cfg = metadata::CompressionConfig::from_csr(
@@ -275,33 +216,6 @@ Machine::ActiveCompression Machine::active_compression()
         comp_version_ = csrs_.version();
     }
     return ActiveCompression{cfg, valid};
-}
-
-std::optional<Trap> Machine::spatial_check(Reg ptr_reg, u64 addr,
-                                           unsigned width)
-{
-    if (!csrs_.spatial_enabled()) return std::nullopt;
-    const auto& entry = srf_.entry(ptr_reg);
-    // No (or cleared) spatial metadata: the access is unchecked, exactly
-    // like SoftBound pointers whose provenance the analysis lost.
-    if (!entry.valid_lo || entry.value.lo == 0) return std::nullopt;
-    const ActiveCompression ac = active_compression();
-    if (!ac.valid) {
-        csrs_.record_violation(static_cast<u64>(TrapKind::IllegalInstruction),
-                               hwst::kCsrBitw);
-        return Trap{TrapKind::IllegalInstruction, hwst::kCsrBitw, pc_};
-    }
-    if (metadata::is_saturated_spatial(entry.value.lo, ac.cfg)) {
-        scu_.note_saturated();
-        csrs_.record_violation(static_cast<u64>(TrapKind::SpatialViolation),
-                               addr);
-        return Trap{TrapKind::SpatialViolation, addr, pc_};
-    }
-    u64 base = 0, bound = 0;
-    metadata::decompress_spatial(entry.value.lo, ac.cfg, base, bound);
-    if (scu_.check(addr, width, base, bound).pass) return std::nullopt;
-    csrs_.record_violation(static_cast<u64>(TrapKind::SpatialViolation), addr);
-    return Trap{TrapKind::SpatialViolation, addr, pc_};
 }
 
 Trap Machine::step()
@@ -610,70 +524,25 @@ Trap Machine::exec(const Instruction& in, u64& next_pc)
 Trap Machine::exec_hwst(const Instruction& in)
 {
     const u64 rs1 = reg(in.rs1);
-    const u64 sm_off = csrs_.sm_offset();
-
-    // COMP/DECOMP cannot operate under perturbed-or-invalid field
-    // widths; the op that needed them traps instead of computing
-    // garbage.
-    const auto bad_widths = [this] {
-        csrs_.record_violation(static_cast<u64>(TrapKind::IllegalInstruction),
-                               hwst::kCsrBitw);
-        return Trap{TrapKind::IllegalInstruction, hwst::kCsrBitw, pc_};
-    };
 
     switch (in.op) {
-    case Opcode::BNDRS: {
-        const ActiveCompression ac = active_compression();
-        if (!ac.valid) return bad_widths();
-        srf_.bind_spatial(
-            in.rd, probe(Probe::SrfSpatialWrite,
-                         metadata::compress_spatial(rs1, reg(in.rs2),
-                                                    ac.cfg)));
+    case Opcode::BNDRS: case Opcode::BNDRT:
+        return bndr(in.op == Opcode::BNDRT, in.rd, in.rs1, in.rs2);
+    case Opcode::SBDL: case Opcode::SBDU:
+        sbd(in.op == Opcode::SBDU, in.rs1, in.rs2, in.imm);
         break;
-    }
-    case Opcode::BNDRT: {
-        const ActiveCompression ac = active_compression();
-        if (!ac.valid) return bad_widths();
-        srf_.bind_temporal(
-            in.rd, probe(Probe::SrfTemporalWrite,
-                         metadata::compress_temporal(rs1, reg(in.rs2),
-                                                     ac.cfg)));
+    case Opcode::LBDLS: case Opcode::LBDUS:
+        lbd(in.op == Opcode::LBDUS, in.rd, in.rs1, in.imm);
         break;
-    }
-
-    case Opcode::SBDL: case Opcode::SBDU: {
-        const auto& e = srf_.entry(in.rs2);
-        const bool upper = in.op == Opcode::SBDU;
-        const u64 addr = smac_.map(rs1 + static_cast<u64>(in.imm), sm_off) +
-                         (upper ? hwst::Smac::upper_slot_offset() : 0);
-        const u64 value =
-            probe(Probe::LmsmStore, upper ? (e.valid_hi ? e.value.hi : 0)
-                                          : (e.valid_lo ? e.value.lo : 0));
-        cycles_ += dcache_extra(addr);
-        mem_.store(addr, 8, value);
-        break;
-    }
-
-    case Opcode::LBDLS: case Opcode::LBDUS: {
-        const bool upper = in.op == Opcode::LBDUS;
-        const u64 addr = smac_.map(rs1 + static_cast<u64>(in.imm), sm_off) +
-                         (upper ? hwst::Smac::upper_slot_offset() : 0);
-        const u64 value = probe(Probe::LmsmLoad, mem_load(addr, 8, false));
-        if (upper) srf_.set_hi(in.rd, value, value != 0);
-        else srf_.set_lo(in.rd, value, value != 0);
-        break;
-    }
 
     case Opcode::LBAS: case Opcode::LBND: {
         const ActiveCompression ac = active_compression();
         if (!ac.valid) return bad_widths();
-        const u64 addr = smac_.map(rs1, sm_off);
-        const u64 lo = probe(Probe::LmsmLoad, mem_load(addr, 8, false));
+        const u64 lo =
+            probe(Probe::LmsmLoad, mem_load(lmsm_slot(rs1, false), 8, false));
         if (metadata::is_saturated_spatial(lo, ac.cfg)) {
             scu_.note_saturated();
-            csrs_.record_violation(
-                static_cast<u64>(TrapKind::SpatialViolation), rs1);
-            return Trap{TrapKind::SpatialViolation, rs1, pc_};
+            return violation(TrapKind::SpatialViolation, rs1);
         }
         u64 base = 0, bound = 0;
         metadata::decompress_spatial(lo, ac.cfg, base, bound);
@@ -683,14 +552,11 @@ Trap Machine::exec_hwst(const Instruction& in)
     case Opcode::LKEY: case Opcode::LLOC: {
         const ActiveCompression ac = active_compression();
         if (!ac.valid) return bad_widths();
-        const u64 addr = smac_.map(rs1, sm_off) +
-                         hwst::Smac::upper_slot_offset();
-        const u64 hi = probe(Probe::LmsmLoad, mem_load(addr, 8, false));
+        const u64 hi =
+            probe(Probe::LmsmLoad, mem_load(lmsm_slot(rs1, true), 8, false));
         if (metadata::is_saturated_temporal(hi, ac.cfg)) {
             tcu_.note_saturated();
-            csrs_.record_violation(
-                static_cast<u64>(TrapKind::TemporalViolation), rs1);
-            return Trap{TrapKind::TemporalViolation, rs1, pc_};
+            return violation(TrapKind::TemporalViolation, rs1);
         }
         u64 key = 0, lock = 0;
         metadata::decompress_temporal(hi, ac.cfg, key, lock);
@@ -698,45 +564,7 @@ Trap Machine::exec_hwst(const Instruction& in)
         break;
     }
 
-    case Opcode::TCHK: {
-        if (!csrs_.temporal_enabled()) break;
-        const auto& e = srf_.entry(in.rs1);
-        if (!e.valid_hi || e.value.hi == 0) break; // no temporal metadata
-        const ActiveCompression ac = active_compression();
-        if (!ac.valid) return bad_widths();
-        if (metadata::is_saturated_temporal(e.value.hi, ac.cfg)) {
-            tcu_.note_saturated();
-            csrs_.record_violation(
-                static_cast<u64>(TrapKind::TemporalViolation), rs1);
-            return Trap{TrapKind::TemporalViolation, rs1, pc_};
-        }
-        u64 key = 0, lock = 0;
-        metadata::decompress_temporal(e.value.hi, ac.cfg, key, lock);
-        // The temporal check needs a second memory access (load the key
-        // from the lock_location). A keybuffer hit elides it entirely;
-        // a miss pays the full D-cache access (paper §3.5).
-        u64 mem_key = 0;
-        if (!cfg_.keybuffer_enabled) {
-            cycles_ += dcache_.access(lock);
-            mem_key = mem_.load(lock, 8, false);
-        } else if (const auto hit = keybuffer_.lookup(lock)) {
-            mem_key = probe(Probe::KeybufferLookup, *hit);
-        } else {
-            cycles_ += dcache_.access(lock);
-            mem_key = mem_.load(lock, 8, false);
-            // A fill fault corrupts what the buffer caches; the check in
-            // flight still compares the freshly loaded key, so the fault
-            // surfaces on a later hit (nonzero detection latency).
-            keybuffer_.insert(lock, probe(Probe::KeybufferFill, mem_key));
-        }
-        if (!tcu_.check(key, mem_key).pass) {
-            csrs_.record_violation(
-                static_cast<u64>(TrapKind::TemporalViolation), lock);
-            return Trap{TrapKind::TemporalViolation, lock, pc_};
-        }
-        break;
-    }
-
+    case Opcode::TCHK: return tchk(in.rs1);
     case Opcode::KBFLUSH:
         keybuffer_.flush();
         break;
@@ -749,22 +577,14 @@ Trap Machine::exec_hwst(const Instruction& in)
 
     // ---- checked memory (SCU fused, paper Fig. 3) --------------------
     case Opcode::CLB: case Opcode::CLH: case Opcode::CLW: case Opcode::CLD:
-    case Opcode::CLBU: case Opcode::CLHU: case Opcode::CLWU: {
-        const u64 addr = rs1 + static_cast<u64>(in.imm);
-        const unsigned width = riscv::mem_width(in.op);
-        if (auto trap = spatial_check(in.rs1, addr, width)) return *trap;
-        const bool sign = in.op == Opcode::CLB || in.op == Opcode::CLH ||
-                          in.op == Opcode::CLW || in.op == Opcode::CLD;
-        set_reg(in.rd, mem_load(addr, width, sign));
-        break;
-    }
-    case Opcode::CSB: case Opcode::CSH: case Opcode::CSW: case Opcode::CSD: {
-        const u64 addr = rs1 + static_cast<u64>(in.imm);
-        const unsigned width = riscv::mem_width(in.op);
-        if (auto trap = spatial_check(in.rs1, addr, width)) return *trap;
-        mem_store(addr, width, reg(in.rs2));
-        break;
-    }
+    case Opcode::CLBU: case Opcode::CLHU: case Opcode::CLWU:
+        return checked_load(in.rd, in.rs1, in.imm, riscv::mem_width(in.op),
+                            in.op == Opcode::CLB || in.op == Opcode::CLH ||
+                                in.op == Opcode::CLW ||
+                                in.op == Opcode::CLD);
+    case Opcode::CSB: case Opcode::CSH: case Opcode::CSW: case Opcode::CSD:
+        return checked_store(in.rs1, in.rs2, in.imm,
+                             riscv::mem_width(in.op));
 
     default:
         return Trap{TrapKind::IllegalInstruction, 0, pc_};
@@ -774,28 +594,12 @@ Trap Machine::exec_hwst(const Instruction& in)
 
 void Machine::srf_effects(const Instruction& in, Format fmt)
 {
-    // In-pipeline metadata propagation (paper Fig. 1-b): Hardbound-style
-    // rules — a register move or pointer arithmetic carries the source's
-    // shadow register to the destination with no instruction overhead.
-    const auto any = [this](Reg r) {
-        const auto& e = srf_.entry(r);
-        return e.valid_lo || e.valid_hi;
-    };
-
+    // In-pipeline metadata propagation (paper Fig. 1-b): a register
+    // move or pointer arithmetic carries the source's shadow register
+    // to the destination with no instruction overhead.
     switch (in.op) {
-    case Opcode::ADDI:
-        srf_.propagate(in.rd, in.rs1);
-        break;
-    case Opcode::ADD: {
-        const bool a = any(in.rs1), b = any(in.rs2);
-        if (a && !b) srf_.propagate(in.rd, in.rs1);
-        else if (b && !a) srf_.propagate(in.rd, in.rs2);
-        else srf_.clear(in.rd);
-        break;
-    }
-    case Opcode::SUB:
-        if (any(in.rs1) && !any(in.rs2)) srf_.propagate(in.rd, in.rs1);
-        else srf_.clear(in.rd);
+    case Opcode::ADDI: case Opcode::ADD: case Opcode::SUB:
+        srf_arith(in.op, in.rd, in.rs1, in.rs2);
         break;
 
     // HWST metadata ops manage the SRF themselves.

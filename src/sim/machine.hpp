@@ -90,20 +90,13 @@ struct MachineConfig {
     /// the key from memory on every check.
     bool keybuffer_enabled = true;
     u64 fuel = 400'000'000; ///< max instructions before FuelExhausted
-    /// Superblock DBT tier (docs/performance.md "Translation tier").
-    /// Host-side acceleration only: simulated results are bit-identical
-    /// with it on or off. Runs automatically fall back to the
-    /// interpreter while a trace or probe hook is installed. The
-    /// HWST_DBT environment variable (a boolean: 0/1/on/off/true/false,
-    /// case-insensitive) overrides this field — it is how the dbt-smoke
-    /// bench preset forces both tiers through identical binaries.
-    /// Legacy knob: `false` pins the interpreter, `true` leaves the
-    /// ladder at `tier` (normally Auto). Prefer `tier` / HWST_TIER.
-    bool dbt = true;
-    /// Execution tier. `Auto` picks the fastest available; an explicit
-    /// tier pins the ladder there. The HWST_TIER environment variable
-    /// (interp/dbt/jit/auto) overrides this field and, when both are
-    /// set, wins over HWST_DBT with a warn-once diagnostic.
+    /// Execution tier (docs/performance.md "Execution-tier ladder").
+    /// `Auto` picks the fastest available; an explicit tier pins the
+    /// ladder there. The HWST_TIER environment variable
+    /// (interp/dbt/jit/auto) overrides this field. Host-side
+    /// acceleration only: simulated results are bit-identical on every
+    /// tier, and runs fall back to the interpreter while a trace or
+    /// probe hook is installed.
     ExecTier tier = ExecTier::Auto;
     /// JIT code-cache budget in bytes. When a compile would overflow it
     /// the whole cache is dropped and retranslation starts from scratch
@@ -308,9 +301,9 @@ public:
     const JitStats& jit_stats() const { return jit_stats_; }
 
     /// The execution tier this Machine resolved to (config + HWST_TIER
-    /// / HWST_DBT env + host capability folded together at
-    /// construction). Trace/probe hooks and force_interpreter() still
-    /// pin individual runs to the interpreter.
+    /// env + host capability folded together at construction).
+    /// Trace/probe hooks and force_interpreter() still pin individual
+    /// runs to the interpreter.
     ExecTier tier() const { return tier_; }
 
 private:
@@ -329,12 +322,22 @@ private:
     /// here). No-op when the JIT tier was never entered.
     void jit_drop_code();
 
-    u64 mem_load(u64 addr, unsigned width, bool sign_extend);
-    void mem_store(u64 addr, unsigned width, u64 value);
-    unsigned dcache_extra(u64 addr);
+    unsigned dcache_extra(u64 addr)
+    {
+        return dcache_.access(addr) - cfg_.dcache.hit_cycles;
+    }
 
-    std::optional<hwst::Trap> spatial_check(Reg ptr_reg, u64 addr,
-                                            unsigned width);
+    u64 mem_load(u64 addr, unsigned width, bool sign_extend)
+    {
+        cycles_ += dcache_extra(addr);
+        const u64 value = mem_.load(addr, width, sign_extend);
+        // Fill data is the one datapath HWST metadata does not cover
+        // (the paper leaves data integrity to ECC); expose it as its own
+        // probe.
+        if (probe_hook_ && dcache_.last_access_missed())
+            return probe_hook_(Probe::DcacheFillData, instret_, value);
+        return value;
+    }
 
     /// Run `value` through the probe hook (identity when no hook set).
     u64 probe(Probe p, u64 value)
@@ -350,12 +353,211 @@ private:
         metadata::CompressionConfig cfg;
         bool valid;
     };
-    ActiveCompression active_compression();
+    /// Memoized against the CSR file's version counter: the decode +
+    /// validate work only reruns after a CSR write. A probe hook
+    /// bypasses the memo entirely — it must observe (and may perturb)
+    /// every single invocation.
+    ActiveCompression active_compression()
+    {
+        if (!probe_hook_ && comp_version_ == csrs_.version())
+            return comp_memo_;
+        return decode_compression();
+    }
+    ActiveCompression decode_compression();
+
+    // ---- HWST128 unit operations (paper Fig. 3) ----------------------
+    // The one definition of each SCU/TCU/COMP/SMAC operation. Every
+    // tier calls these: the interpreter (exec_hwst, mem_store,
+    // srf_effects), the superblock dispatcher and the JIT's helper
+    // call-outs. Traps come back as values (kind None = pass) carrying
+    // pc_, which callers point at the instruction first; a bad access
+    // throws mem::MemFault. The tiers differ only in how they deliver
+    // a trap and in their retirement accounting.
+
+    /// Record a violation in the CSRs and build its trap.
+    hwst::Trap violation(hwst::TrapKind kind, u64 addr)
+    {
+        csrs_.record_violation(static_cast<u64>(kind), addr);
+        return hwst::Trap{kind, addr, pc_};
+    }
+    /// COMP/DECOMP cannot operate under perturbed-or-invalid field
+    /// widths; the op that needed them traps instead of computing
+    /// garbage.
+    hwst::Trap bad_widths()
+    {
+        return violation(hwst::TrapKind::IllegalInstruction,
+                         hwst::kCsrBitw);
+    }
+
+    /// SCU: bounds check of a `width`-byte access at `addr` through
+    /// `ptr`'s spatial metadata. No (or cleared) metadata leaves the
+    /// access unchecked, like SoftBound pointers whose provenance the
+    /// analysis lost.
+    hwst::Trap scu_check(Reg ptr, u64 addr, unsigned width)
+    {
+        if (!csrs_.spatial_enabled()) return {};
+        const auto& e = srf_.entry(ptr);
+        if (!e.valid_lo || e.value.lo == 0) return {};
+        const ActiveCompression ac = active_compression();
+        if (!ac.valid) return bad_widths();
+        if (metadata::is_saturated_spatial(e.value.lo, ac.cfg)) {
+            scu_.note_saturated();
+            return violation(hwst::TrapKind::SpatialViolation, addr);
+        }
+        u64 base = 0, bound = 0;
+        metadata::decompress_spatial(e.value.lo, ac.cfg, base, bound);
+        if (scu_.check(addr, width, base, bound).pass) return {};
+        return violation(hwst::TrapKind::SpatialViolation, addr);
+    }
+
+    /// tchk: TCU key/lock check of `ptr`'s temporal metadata. The check
+    /// needs a second memory access (the key at the lock_location): a
+    /// keybuffer hit elides it, a miss — or every check when the
+    /// accelerator has no keybuffer (WDL) — pays a full D-cache access
+    /// (paper §3.5).
+    hwst::Trap tchk(Reg ptr)
+    {
+        if (!csrs_.temporal_enabled()) return {};
+        const auto& e = srf_.entry(ptr);
+        if (!e.valid_hi || e.value.hi == 0) return {};
+        const ActiveCompression ac = active_compression();
+        if (!ac.valid) return bad_widths();
+        if (metadata::is_saturated_temporal(e.value.hi, ac.cfg)) {
+            tcu_.note_saturated();
+            return violation(hwst::TrapKind::TemporalViolation, reg(ptr));
+        }
+        u64 key = 0, lock = 0;
+        metadata::decompress_temporal(e.value.hi, ac.cfg, key, lock);
+        u64 mem_key = 0;
+        if (!cfg_.keybuffer_enabled) {
+            cycles_ += dcache_.access(lock);
+            mem_key = mem_.load(lock, 8, false);
+        } else if (const auto hit = keybuffer_.lookup(lock)) {
+            mem_key = probe(Probe::KeybufferLookup, *hit);
+        } else {
+            cycles_ += dcache_.access(lock);
+            mem_key = mem_.load(lock, 8, false);
+            // A fill fault corrupts what the buffer caches; the check in
+            // flight still compares the freshly loaded key, so the fault
+            // surfaces on a later hit (nonzero detection latency).
+            keybuffer_.insert(lock, probe(Probe::KeybufferFill, mem_key));
+        }
+        if (tcu_.check(key, mem_key).pass) return {};
+        return violation(hwst::TrapKind::TemporalViolation, lock);
+    }
+
+    /// bndrs/bndrt: COMP compresses (rs1, rs2) = (base, bound) or
+    /// (key, lock) into one SRF half of rd.
+    hwst::Trap bndr(bool temporal, Reg rd, Reg rs1, Reg rs2)
+    {
+        const ActiveCompression ac = active_compression();
+        if (!ac.valid) return bad_widths();
+        if (temporal)
+            srf_.bind_temporal(
+                rd, probe(Probe::SrfTemporalWrite,
+                          metadata::compress_temporal(reg(rs1), reg(rs2),
+                                                      ac.cfg)));
+        else
+            srf_.bind_spatial(
+                rd, probe(Probe::SrfSpatialWrite,
+                          metadata::compress_spatial(reg(rs1), reg(rs2),
+                                                     ac.cfg)));
+        return {};
+    }
+
+    /// SMAC: the LMSM slot shadowing `addr` (the upper slot holds the
+    /// temporal half).
+    u64 lmsm_slot(u64 addr, bool upper)
+    {
+        return smac_.map(addr, csrs_.sm_offset()) +
+               (upper ? hwst::Smac::upper_slot_offset() : 0);
+    }
+
+    /// sbdl/sbdu: store one SRF half of `src` (zero if invalid) into the
+    /// LMSM slot of reg(rs1) + imm.
+    void sbd(bool upper, Reg rs1, Reg src, i64 imm)
+    {
+        const auto& e = srf_.entry(src);
+        const u64 addr = lmsm_slot(reg(rs1) + static_cast<u64>(imm), upper);
+        const u64 value =
+            probe(Probe::LmsmStore, upper ? (e.valid_hi ? e.value.hi : 0)
+                                          : (e.valid_lo ? e.value.lo : 0));
+        cycles_ += dcache_extra(addr);
+        mem_.store(addr, 8, value);
+    }
+
+    /// lbdls/lbdus: load one LMSM slot into an SRF half of rd; a zero
+    /// slot marks the half invalid.
+    void lbd(bool upper, Reg rd, Reg rs1, i64 imm)
+    {
+        const u64 addr = lmsm_slot(reg(rs1) + static_cast<u64>(imm), upper);
+        const u64 value = probe(Probe::LmsmLoad, mem_load(addr, 8, false));
+        if (upper) srf_.set_hi(rd, value, value != 0);
+        else srf_.set_lo(rd, value, value != 0);
+    }
+
+    /// Keybuffer coherence on the store side: a key *erasure* (store of
+    /// 0 into the lock region — what frees do) clears the keybuffer
+    /// (paper §3.5). Non-zero writes mint fresh keys, which cannot be
+    /// cached yet.
+    void mem_store(u64 addr, unsigned width, u64 value)
+    {
+        cycles_ += dcache_extra(addr);
+        const auto& lay = program_.layout();
+        if (value == 0 && addr - lay.lock_base < lay.lock_entries * 8)
+            keybuffer_.flush();
+        mem_.store(addr, width, value);
+    }
+
+    /// Checked load (SCU fused, paper Fig. 3): the loaded value is data,
+    /// so rd's metadata is cleared.
+    hwst::Trap checked_load(Reg rd, Reg rs1, i64 imm, unsigned width,
+                            bool sign_extend)
+    {
+        const u64 addr = reg(rs1) + static_cast<u64>(imm);
+        const hwst::Trap t = scu_check(rs1, addr, width);
+        if (t.kind != hwst::TrapKind::None) return t;
+        const u64 value = mem_load(addr, width, sign_extend);
+        if (rd != Reg::zero) {
+            set_reg(rd, value);
+            srf_.clear(rd);
+        }
+        return {};
+    }
+
+    hwst::Trap checked_store(Reg rs1, Reg rs2, i64 imm, unsigned width)
+    {
+        const u64 addr = reg(rs1) + static_cast<u64>(imm);
+        const hwst::Trap t = scu_check(rs1, addr, width);
+        if (t.kind != hwst::TrapKind::None) return t;
+        mem_store(addr, width, reg(rs2));
+        return {};
+    }
+
+    /// In-pipeline propagation for pointer arithmetic (paper Fig. 1-b,
+    /// Hardbound-style rules): ADDI carries rs1's shadow register to rd,
+    /// ADD whichever single operand has metadata, SUB only rs1's
+    /// (pointer - integer); otherwise rd's metadata is cleared. That
+    /// clear is unguarded: it mutates SRF entry 0 when rd is x0.
+    void srf_arith(riscv::Opcode op, Reg rd, Reg rs1, Reg rs2)
+    {
+        if (op == riscv::Opcode::ADDI) {
+            srf_.propagate(rd, rs1);
+            return;
+        }
+        const auto any = [this](Reg r) {
+            const auto& e = srf_.entry(r);
+            return e.valid_lo || e.valid_hi;
+        };
+        const bool a = any(rs1), b = any(rs2);
+        if (a && !b) srf_.propagate(rd, rs1);
+        else if (op == riscv::Opcode::ADD && b && !a) srf_.propagate(rd, rs2);
+        else srf_.clear(rd);
+    }
 
     // Superblock DBT tier state. The block cache is created lazily on
-    // the first translated run; comp_memo_ caches active_compression()
-    // against the CSR file's version counter (bypassed whenever a probe
-    // hook is installed — the hook must see every invocation).
+    // the first translated run; comp_memo_ is active_compression()'s
+    // memo.
     std::unique_ptr<SuperblockCache> sbcache_;
     DbtStats dbt_stats_;
     // Tier-2 JIT state: lazily created on the first jit-tier run.
@@ -409,7 +611,7 @@ private:
 };
 
 /// Process-wide override forcing every run onto the interpreter tier,
-/// regardless of MachineConfig::dbt or HWST_DBT. The DBT divergence
+/// regardless of MachineConfig::tier or HWST_TIER. The DBT divergence
 /// sentinel (docs/execution.md, "Process isolation & failure
 /// taxonomy") sets it inside its re-check workers so the reference run
 /// cannot consult the tier under suspicion; runs forced this way count

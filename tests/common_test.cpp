@@ -178,8 +178,8 @@ TEST(Table, Fmt)
 
 TEST(Env, ParseBoolFlag)
 {
-    // The shared boolean vocabulary of HWST_DBT / HWST_ISOLATE /
-    // HWST_SENTINEL: explicit truthy and falsy spellings,
+    // The shared boolean vocabulary of HWST_ISOLATE / HWST_SENTINEL /
+    // HWST_DBT_FAULT: explicit truthy and falsy spellings,
     // case-insensitive; anything else is "not a boolean".
     for (const char* v : {"1", "true", "on", "yes", "TRUE", "On", "YES"})
         EXPECT_EQ(parse_bool_flag(v), std::optional<bool>{true}) << v;

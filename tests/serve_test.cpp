@@ -493,6 +493,26 @@ TEST(ServeServer, GracefulStopDeliversValidPartialResults)
               skipped);
 }
 
+// stop() must wake every idle worker: a stop flag published outside
+// the queue lock can land between a worker's wait predicate and its
+// wait, the worker sleeps through the notify and stop() hangs in join.
+// Back-to-back start/stop cycles with idle workers keep hitting that
+// window; the ctest timeout bounds a regression.
+TEST(ServeServer, RepeatedStartStopWithIdleWorkersNeverHangs)
+{
+    if (!serve::serving_supported()) GTEST_SKIP();
+    const std::string socket =
+        (fs::temp_directory_path() / "serve_start_stop.sock").string();
+    for (int i = 0; i < 200; ++i) {
+        serve::ServerOptions opts;
+        opts.socket_path = socket;
+        opts.engine.jobs = 2;
+        serve::Server server{std::move(opts)};
+        server.start();
+        server.stop();
+    }
+}
+
 TEST(ServeServer, MalformedRequestsPoisonTheReplyNotTheServer)
 {
     if (!serve::serving_supported()) GTEST_SKIP();

@@ -8,17 +8,22 @@
 // workload tests cover the HWST metadata ISA, checked accesses and
 // ecalls; dedicated tests pin down block invalidation, chaining,
 // hook-forced fallback, cancellation strides, fuel traps, mid-stream
-// CSR reads of the batched counters, and JIT code-cache eviction with
-// re-translation. On hosts/builds without JIT support (non-x86-64,
+// CSR reads of the batched counters, JIT code-cache eviction with
+// re-translation, and the trap and edge paths of every HWST unit
+// operation (violations, unusable csr.bitw widths, saturated metadata,
+// no keybuffer, lock-region stores). On hosts/builds without JIT support (non-x86-64,
 // sanitizers) --tier=jit degrades to the dispatcher, so the three-way
 // matrix still passes — it just covers two distinct tiers.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "common/prng.hpp"
 #include "compiler/driver.hpp"
 #include "hwst/csr.hpp"
+#include "juliet/cases.hpp"
 #include "riscv/instr.hpp"
 #include "riscv/program.hpp"
 #include "sim/jit/jit.hpp"
@@ -34,12 +39,9 @@ using hwst::common::i64;
 using hwst::common::u64;
 using hwst::common::Xoshiro256;
 
-sim::MachineConfig with_dbt(sim::MachineConfig cfg, bool on)
-{
-    cfg.dbt = on;
-    cfg.tier = on ? sim::ExecTier::Dbt : sim::ExecTier::Interp;
-    return cfg;
-}
+constexpr auto kInterp = sim::ExecTier::Interp;
+constexpr auto kDbt = sim::ExecTier::Dbt;
+constexpr auto kJit = sim::ExecTier::Jit;
 
 sim::MachineConfig with_tier(sim::MachineConfig cfg, sim::ExecTier t)
 {
@@ -247,13 +249,13 @@ TEST_P(SuperblockFuzz, TierLadderMatchesInterpreterBitForBit)
     Xoshiro256 rng{0x5B10C + GetParam() * 6271};
     const Program p = fuzz_program(rng);
 
-    sim::Machine dbt{p, with_dbt({}, true)};
+    sim::Machine dbt{p, with_tier({}, kDbt)};
     const sim::RunResult a = dbt.run();
 
-    sim::Machine interp{p, with_dbt({}, false)};
+    sim::Machine interp{p, with_tier({}, kInterp)};
     const sim::RunResult b = interp.run();
 
-    auto jit_cfg = with_tier({}, sim::ExecTier::Jit);
+    auto jit_cfg = with_tier({}, kJit);
     jit_cfg.jit_hot_threshold = 2;
     sim::Machine jit{p, jit_cfg};
     const sim::RunResult c = jit.run();
@@ -266,7 +268,7 @@ TEST_P(SuperblockFuzz, TierLadderMatchesInterpreterBitForBit)
     // fallback_runs counts runs where the tier was configured on but a
     // hook blocked it; configuring it off is not a fallback.
     EXPECT_EQ(interp.dbt_stats().fallback_runs, 0u);
-    if (jit.tier() == sim::ExecTier::Jit) {
+    if (jit.tier() == kJit) {
         EXPECT_GT(jit.jit_stats().translated, 0u);
         EXPECT_GT(jit.jit_stats().code_bytes, 0u);
     }
@@ -283,12 +285,12 @@ TEST(SuperblockWorkloads, SchemesBitIdenticalAcrossAllTiers)
                               hwst::compiler::Scheme::Hwst128Tchk}) {
         const auto cp = hwst::compiler::compile(w.build(), scheme);
 
-        sim::Machine dbt{cp.program, with_dbt(cp.machine_config, true)};
+        sim::Machine dbt{cp.program, with_tier(cp.machine_config, kDbt)};
         const sim::RunResult a = dbt.run();
         EXPECT_EQ(a.exit_code, w.expected);
 
         sim::Machine interp{cp.program,
-                            with_dbt(cp.machine_config, false)};
+                            with_tier(cp.machine_config, kInterp)};
         const sim::RunResult b = interp.run();
         expect_bit_equal(a, b);
 
@@ -297,7 +299,7 @@ TEST(SuperblockWorkloads, SchemesBitIdenticalAcrossAllTiers)
         // reproduce the dispatcher numbers exactly.
         sim::Machine jit{cp.program,
                          with_tier(cp.machine_config,
-                                   sim::ExecTier::Jit)};
+                                   kJit)};
         const sim::RunResult c = jit.run();
         expect_bit_equal(c, b);
     }
@@ -311,14 +313,14 @@ TEST(SuperblockCacheTest, MapRegionFlushesTranslatedBlocks)
     const auto cp =
         hwst::compiler::compile(w.build(), hwst::compiler::Scheme::None);
 
-    sim::Machine plain{cp.program, with_dbt(cp.machine_config, true)};
+    sim::Machine plain{cp.program, with_tier(cp.machine_config, kDbt)};
     const sim::RunResult full = plain.run();
 
     // Pause mid-run, remap, resume: the remap must drop every block
     // (dbt_stats.flushes) — and under the JIT tier, the native code
     // baked on top of them — and the resumed run must still be
     // bit-equal to the uninterrupted one.
-    for (const auto tier : {sim::ExecTier::Dbt, sim::ExecTier::Jit}) {
+    for (const auto tier : {kDbt, kJit}) {
         auto cfg = with_tier(cp.machine_config, tier);
         cfg.jit_hot_threshold = 1; // translate eagerly before the pause
         sim::Machine m{cp.program, cfg};
@@ -338,7 +340,7 @@ TEST(SuperblockCacheTest, MapRegionFlushesTranslatedBlocks)
         expect_bit_equal(*resumed, full);
         // Resuming had to retranslate the dropped blocks.
         EXPECT_GT(m.dbt_stats().blocks, blocks_before_resume);
-        if (m.tier() == sim::ExecTier::Jit) {
+        if (m.tier() == kJit) {
             EXPECT_GT(m.jit_stats().translated, 0u);
         }
     }
@@ -359,17 +361,17 @@ TEST(JitCodeCache, EvictionAndRetranslationBitIdentical)
     const auto cp =
         hwst::compiler::compile(w.build(), hwst::compiler::Scheme::None);
 
-    sim::Machine interp{cp.program, with_dbt(cp.machine_config, false)};
+    sim::Machine interp{cp.program, with_tier(cp.machine_config, kInterp)};
     const sim::RunResult ref = interp.run();
 
-    auto cfg = with_tier(cp.machine_config, sim::ExecTier::Jit);
+    auto cfg = with_tier(cp.machine_config, kJit);
     // Large enough for the entry thunk + shared runtime plus a block
     // or two, far too small for the whole program: every few compiles
     // evict the region and re-translation starts over.
     cfg.jit_code_bytes = 8192;
     cfg.jit_hot_threshold = 1;
     sim::Machine m{cp.program, cfg};
-    ASSERT_EQ(m.tier(), sim::ExecTier::Jit);
+    ASSERT_EQ(m.tier(), kJit);
     const sim::RunResult r = m.run();
 
     expect_bit_equal(r, ref);
@@ -396,7 +398,7 @@ TEST(SuperblockChaining, HotLoopEdgesChain)
     p.emit(Instruction{Opcode::ECALL});
     p.finalize();
 
-    sim::Machine m{p, with_dbt({}, true)};
+    sim::Machine m{p, with_tier({}, kDbt)};
     const auto r = m.run();
     EXPECT_EQ(r.exit_code, 10000);
     const auto& st = m.dbt_stats();
@@ -415,14 +417,14 @@ TEST(SuperblockFallback, TraceAndProbeHooksFallBackBitIdentical)
     const auto cp =
         hwst::compiler::compile(w.build(), hwst::compiler::Scheme::None);
 
-    sim::Machine dbt{cp.program, with_dbt(cp.machine_config, true)};
+    sim::Machine dbt{cp.program, with_tier(cp.machine_config, kDbt)};
     const sim::RunResult a = dbt.run();
     EXPECT_EQ(dbt.dbt_stats().fallback_runs, 0u);
 
     // A trace hook observes every retired instruction; the tier cannot
     // honor that, so the run must take the interpreter and still
     // produce the exact same result.
-    sim::Machine traced{cp.program, with_dbt(cp.machine_config, true)};
+    sim::Machine traced{cp.program, with_tier(cp.machine_config, kDbt)};
     u64 traced_instrs = 0;
     traced.set_trace([&](u64, const Instruction&) { ++traced_instrs; });
     const sim::RunResult b = traced.run();
@@ -432,7 +434,7 @@ TEST(SuperblockFallback, TraceAndProbeHooksFallBackBitIdentical)
     EXPECT_EQ(traced.dbt_stats().block_execs, 0u);
 
     // Same for a probe hook, even a transparent one.
-    sim::Machine probed{cp.program, with_dbt(cp.machine_config, true)};
+    sim::Machine probed{cp.program, with_tier(cp.machine_config, kDbt)};
     probed.set_probe_hook(
         [](sim::Probe, u64, u64 value) { return value; });
     const sim::RunResult c = probed.run();
@@ -448,10 +450,10 @@ TEST(SuperblockCancellation, AnyStrideIsBitIdenticalToRun)
     const auto cp =
         hwst::compiler::compile(w.build(), hwst::compiler::Scheme::None);
 
-    sim::Machine plain{cp.program, with_dbt(cp.machine_config, true)};
+    sim::Machine plain{cp.program, with_tier(cp.machine_config, kDbt)};
     const sim::RunResult r = plain.run();
 
-    for (const auto tier : {sim::ExecTier::Dbt, sim::ExecTier::Jit}) {
+    for (const auto tier : {kDbt, kJit}) {
         for (const u64 stride : {u64{1}, u64{3}, u64{37}, u64{4096}}) {
             sim::Machine m{cp.program,
                            with_tier(cp.machine_config, tier)};
@@ -474,14 +476,14 @@ TEST(SuperblockFuel, FuelTrapBitIdentical)
     // dispatcher onto its per-instruction tail.
     cp.machine_config.fuel = 10'007;
 
-    sim::Machine dbt{cp.program, with_dbt(cp.machine_config, true)};
+    sim::Machine dbt{cp.program, with_tier(cp.machine_config, kDbt)};
     const sim::RunResult a = dbt.run();
-    sim::Machine interp{cp.program, with_dbt(cp.machine_config, false)};
+    sim::Machine interp{cp.program, with_tier(cp.machine_config, kInterp)};
     const sim::RunResult b = interp.run();
     // The same awkward fuel value under the JIT exercises the
     // trap-mid-block bailout with per-op prefix accounting.
     sim::Machine jit{cp.program,
-                     with_tier(cp.machine_config, sim::ExecTier::Jit)};
+                     with_tier(cp.machine_config, kJit)};
     const sim::RunResult c = jit.run();
 
     EXPECT_EQ(a.trap.kind, hwst::hwst::TrapKind::FuelExhausted);
@@ -518,18 +520,198 @@ TEST(SuperblockCsr, CycleAndInstretReadsSeeBatchedCounters)
     p.emit(Instruction{Opcode::ECALL});
     p.finalize();
 
-    sim::Machine dbt{p, with_dbt({}, true)};
+    sim::Machine dbt{p, with_tier({}, kDbt)};
     const sim::RunResult a = dbt.run();
-    sim::Machine interp{p, with_dbt({}, false)};
+    sim::Machine interp{p, with_tier({}, kInterp)};
     const sim::RunResult b = interp.run();
     // Under the JIT the csr reads take the interp-one ender bailout;
     // the batched counters must be folded in first.
-    sim::Machine jit{p, with_tier({}, sim::ExecTier::Jit)};
+    sim::Machine jit{p, with_tier({}, kJit)};
     const sim::RunResult c = jit.run();
 
     ASSERT_EQ(a.trap.kind, hwst::hwst::TrapKind::None);
     expect_bit_equal(a, b);
     expect_bit_equal(c, b);
+}
+
+// ---- trap and edge paths of the HWST unit operations -----------------
+
+using hwst::hwst::TrapKind;
+
+/// Run `p` under interp, dbt and jit on fresh Machines (each prepared
+/// by `prep`), require every pair of results bit-identical and return
+/// the interpreter's. Hot threshold 1 sends even run-once blocks
+/// through the JIT's helper call-outs, so a trap on first execution
+/// still leaves from emitted code.
+sim::RunResult run_all_tiers(
+    const Program& p, const sim::MachineConfig& cfg,
+    const std::function<void(sim::Machine&)>& prep = {})
+{
+    std::vector<sim::RunResult> rs;
+    for (const auto tier : {kInterp, kDbt, kJit}) {
+        auto c = with_tier(cfg, tier);
+        c.jit_hot_threshold = 1;
+        sim::Machine m{p, c};
+        if (prep) prep(m);
+        rs.push_back(m.run());
+    }
+    expect_bit_equal(rs[0], rs[1]);
+    expect_bit_equal(rs[0], rs[2]);
+    expect_bit_equal(rs[1], rs[2]);
+    return rs[0];
+}
+
+/// `main:` + two ALU ops (so a trap lands mid-block, past a retired
+/// prefix) + `body` + exit.
+Program unit_program(const std::function<void(Program&)>& body)
+{
+    Program p;
+    p.label("main");
+    p.emit(itype(Opcode::ADDI, Reg::t0, Reg::zero, 1));
+    p.emit(rtype(Opcode::MUL, Reg::t0, Reg::t0, Reg::t0));
+    body(p);
+    p.emit_li(Reg::a7, static_cast<i64>(sim::Sys::Exit));
+    p.emit(Instruction{Opcode::ECALL});
+    p.finalize();
+    return p;
+}
+
+/// Bind a0 to [base, base + 64) and to a fresh lock (lock address kept
+/// in s3, with no metadata of its own).
+void bind_heap_object(Program& p)
+{
+    const i64 base = static_cast<i64>(p.layout().data_base);
+    p.emit_li(Reg::a0, base);
+    p.emit_li(Reg::t4, base + 64);
+    p.emit(rtype(Opcode::BNDRS, Reg::a0, Reg::a0, Reg::t4));
+    p.emit(mv(Reg::s2, Reg::a0)); // ecall clobbers a0
+    p.emit_li(Reg::a7, static_cast<i64>(sim::Sys::LockAlloc));
+    p.emit(Instruction{Opcode::ECALL}); // a0 = lock, a1 = key
+    p.emit(rtype(Opcode::BNDRT, Reg::s2, Reg::a1, Reg::a0));
+    p.emit(itype(Opcode::ORI, Reg::s3, Reg::a0, 0)); // plain copy
+    p.emit(mv(Reg::a0, Reg::s2));
+}
+
+TEST(TierTrapParity, JulietViolationsUnderHwst128Tchk)
+{
+    namespace juliet = hwst::juliet;
+    const auto cases = juliet::all_bad_cases();
+    unsigned spatial = 0, temporal = 0;
+    // Every 61st case spans all CWEs; temporal cases also run without
+    // a keybuffer (WDL: every tchk loads the key).
+    for (std::size_t i = 0; i < cases.size(); i += 61) {
+        auto cp = hwst::compiler::compile(
+            juliet::build_case(cases[i]),
+            hwst::compiler::Scheme::Hwst128Tchk);
+        cp.machine_config.fuel = 2'000'000; // the Juliet harness budget
+        SCOPED_TRACE("case " + std::to_string(i));
+        const auto r = run_all_tiers(cp.program, cp.machine_config);
+        spatial += r.trap.kind == TrapKind::SpatialViolation;
+        temporal += r.trap.kind == TrapKind::TemporalViolation;
+        if (!juliet::is_spatial(cases[i].cwe)) {
+            cp.machine_config.keybuffer_enabled = false;
+            SCOPED_TRACE("no keybuffer");
+            run_all_tiers(cp.program, cp.machine_config);
+        }
+    }
+    EXPECT_GT(spatial, 10u);
+    EXPECT_GT(temporal, 5u);
+}
+
+TEST(TierTrapParity, NoKeybufferWorkloadBitIdentical)
+{
+    const auto& w = hwst::workloads::all_workloads().front();
+    auto cp = hwst::compiler::compile(w.build(),
+                                      hwst::compiler::Scheme::Hwst128Tchk);
+    cp.machine_config.keybuffer_enabled = false;
+    const auto r = run_all_tiers(cp.program, cp.machine_config);
+    EXPECT_EQ(r.exit_code, w.expected);
+    EXPECT_GT(r.tcu_checks, 0u);
+    EXPECT_EQ(r.keybuffer.lookups, 0u);
+}
+
+// csrrw rejects unusable csr.bitw widths at the write, so the test
+// plants them straight into the CSR file, as a perturbed csr.bitw
+// reaches COMP/DECOMP, with s5 pre-bound so every check has metadata.
+TEST(TierTrapParity, InvalidWidthsTrapFromBindTchkAndCheckedOps)
+{
+    const Instruction ops[] = {
+        rtype(Opcode::BNDRS, Reg::t1, Reg::s5, Reg::s6),
+        rtype(Opcode::BNDRT, Reg::t1, Reg::s5, Reg::s6),
+        rtype(Opcode::TCHK, Reg::zero, Reg::s5, Reg::zero),
+        itype(Opcode::CLD, Reg::t1, Reg::s5, 0),
+        stype(Opcode::CSW, Reg::s5, Reg::t0, 4),
+    };
+    for (const Instruction& op : ops) {
+        const Program p = unit_program([&](Program& q) { q.emit(op); });
+        SCOPED_TRACE(std::string{op_name(op.op)});
+        const auto r = run_all_tiers(p, {}, [&](sim::Machine& m) {
+            m.set_reg(Reg::s5, p.layout().data_base);
+            m.srf().bind_spatial(Reg::s5, 0x1234);
+            m.srf().bind_temporal(Reg::s5, 0x5678);
+            m.csrs().write(hwst::hwst::kCsrBitw, 0);
+        });
+        EXPECT_EQ(r.trap.kind, TrapKind::IllegalInstruction);
+        EXPECT_EQ(r.trap.addr, hwst::hwst::kCsrBitw);
+        EXPECT_EQ(r.instret, 3u);
+    }
+}
+
+TEST(TierTrapParity, SaturatedMetadataTraps)
+{
+    const i64 base = 0x10000;
+    // A 16 GiB object overflows the 29-bit range field.
+    const Program spatial = unit_program([&](Program& p) {
+        p.emit_li(Reg::a0, base);
+        p.emit_li(Reg::t4, base + (i64{1} << 34));
+        p.emit(rtype(Opcode::BNDRS, Reg::a0, Reg::a0, Reg::t4));
+        p.emit(itype(Opcode::CLD, Reg::t1, Reg::a0, 0));
+    });
+    const auto rs = run_all_tiers(spatial, {});
+    EXPECT_EQ(rs.trap.kind, TrapKind::SpatialViolation);
+    EXPECT_EQ(rs.scu_saturated, 1u);
+
+    // A key wider than its 44-bit field.
+    const Program temporal = unit_program([&](Program& p) {
+        p.emit_li(Reg::a0, base);
+        p.emit_li(Reg::t4, i64{1} << 50);
+        p.emit(rtype(Opcode::BNDRT, Reg::a0, Reg::t4, Reg::zero));
+        p.emit(rtype(Opcode::TCHK, Reg::zero, Reg::a0, Reg::zero));
+    });
+    const auto rt = run_all_tiers(temporal, {});
+    EXPECT_EQ(rt.trap.kind, TrapKind::TemporalViolation);
+    EXPECT_EQ(rt.trap.addr, static_cast<u64>(base));
+    EXPECT_EQ(rt.tcu_saturated, 1u);
+}
+
+// Keybuffer coherence on the store side: a zero store into the lock
+// region (plain or checked) flushes the buffer, so the next tchk misses
+// and sees the erased key; a non-zero store does not flush.
+TEST(TierTrapParity, ZeroStoreIntoLockRegionFlushesKeybuffer)
+{
+    struct Variant {
+        Opcode store;
+        Reg value;
+        TrapKind expect;
+    };
+    const Variant variants[] = {
+        {Opcode::SD, Reg::zero, TrapKind::TemporalViolation},
+        {Opcode::CSD, Reg::zero, TrapKind::TemporalViolation},
+        {Opcode::SD, Reg::t0, TrapKind::None},
+    };
+    for (const Variant& v : variants) {
+        const Program p = unit_program([&](Program& q) {
+            bind_heap_object(q);
+            q.emit(rtype(Opcode::TCHK, Reg::zero, Reg::a0, Reg::zero));
+            q.emit(stype(v.store, Reg::s3, v.value, 0));
+            q.emit(rtype(Opcode::TCHK, Reg::zero, Reg::a0, Reg::zero));
+        });
+        SCOPED_TRACE(std::string{op_name(v.store)});
+        const auto r = run_all_tiers(p, {});
+        EXPECT_EQ(r.trap.kind, v.expect);
+        EXPECT_EQ(r.tcu_checks, 2u);
+        EXPECT_EQ(r.keybuffer.flushes, v.value == Reg::zero ? 1u : 0u);
+    }
 }
 
 } // namespace
