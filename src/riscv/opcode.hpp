@@ -1,6 +1,8 @@
 // Opcode catalogue: RV64IM + Zicsr subset plus the HWST128 memory-safety
-// extension. The X-macro table keeps the encoder, decoder, disassembler
-// and executor in sync from a single definition.
+// extension. The X-macro table keeps the encoder, decoder and
+// disassembler in sync from a single definition. Execution semantics
+// live in src/sim: the RV64IM ALU ops and branches in sim/rv64im.hpp's
+// table and kernels, the HWST128 units in sim/machine.hpp's kernels.
 //
 // HWST128 extension (paper §3.2-3.3, Fig. 1/3):
 //   custom-0 (0x0B) R-type  : metadata bind / shadow move / checks

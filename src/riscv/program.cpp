@@ -53,7 +53,12 @@ void Program::emit_li(Reg rd, i64 value)
         return;
     }
     const i64 lo = common::sign_extend(static_cast<u64>(value) & 0xFFF, 12);
-    const i64 hi = value - lo; // multiple of 4096
+    // value - lo, a multiple of 4096. The subtraction wraps in u64: near
+    // INT64_MAX with a negative low part it leaves the i64 range, and
+    // the wrapped value shifted arithmetically below still yields the
+    // right upper bits (SLLI + ADDI wrap back the same way).
+    const i64 hi = static_cast<i64>(static_cast<u64>(value) -
+                                    static_cast<u64>(lo));
     if (fits_signed(hi, 32)) {
         emit(utype(Opcode::LUI, rd, hi));
         if (lo != 0) emit(itype(Opcode::ADDIW, rd, rd, lo));
@@ -61,7 +66,7 @@ void Program::emit_li(Reg rd, i64 value)
     }
     // 64-bit path: materialise the upper bits (compensating for the
     // sign-extended low part), shift, add the low 12.
-    emit_li(rd, (value - lo) >> 12);
+    emit_li(rd, hi >> 12);
     emit(itype(Opcode::SLLI, rd, rd, 12));
     if (lo != 0) emit(itype(Opcode::ADDI, rd, rd, lo));
 }

@@ -14,10 +14,7 @@
 //  * Dynamic cycle costs (dcache extras, branch-taken penalties,
 //    csr/ecall costs, keybuffer-miss loads) are added eagerly by the
 //    bodies, exactly where exec() adds them.
-//
-// On a non-GNU compiler the tier degrades to the per-instruction
-// interpreter loop with the same poll/fuel semantics (correct, just
-// not fast).
+
 #include "sim/dispatch.hpp"
 
 #include "sim/machine.hpp"
@@ -25,26 +22,10 @@
 
 namespace hwst::sim {
 
-using common::i32;
 using hwst::Trap;
 using hwst::TrapKind;
 using mem::MemFault;
 using riscv::Reg;
-
-#if defined(__GNUC__) || defined(__clang__)
-#define HWST_THREADED_DISPATCH 1
-#else
-#define HWST_THREADED_DISPATCH 0
-#endif
-
-namespace {
-u64 sext32(u64 v)
-{
-    return static_cast<u64>(static_cast<i64>(static_cast<i32>(v)));
-}
-} // namespace
-
-#if HWST_THREADED_DISPATCH
 
 bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
                      u64 stride, Trap& out)
@@ -52,7 +33,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
     // Label table, in SbKind order (the X-macro guarantees the match;
     // a missing body is a compile error).
     static const void* const kLabels[kNumSbKinds] = {
-#define HWST_SB_LABEL(name) &&L_##name,
+#define HWST_SB_LABEL(name, ...) &&L_##name,
         HWST_SB_KIND_LIST(HWST_SB_LABEL)
 #undef HWST_SB_LABEL
     };
@@ -65,10 +46,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
         m.text_base_,
         m.cfg_.icache.line_bytes,
         m.cfg_.icache_enabled,
-        m.cfg_.timing.load_use_stall,
-        m.cfg_.timing.mul_extra,
-        m.cfg_.timing.div_extra,
-        m.cfg_.timing.branch_taken_penalty,
+        m.cfg_.timing,
         kLabels,
     };
     const u64 text_base = m.text_base_;
@@ -125,15 +103,6 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
 #define RS1_REG (static_cast<Reg>(op->rs1))
 #define RS2_REG (static_cast<Reg>(op->rs2))
 #define IMM (static_cast<u64>(op->imm))
-
-// Plain writer: translation folded rd==zero variants of these kinds to
-// Nop, so the write is unconditional and the srf clear matches
-// srf_effects' guarded default case.
-#define WR_CLEAR(v)                                                       \
-    do {                                                                  \
-        m.regs_[op->rd] = (v);                                            \
-        m.srf_.clear(RD_REG);                                             \
-    } while (0)
 
 // Ender prologue: retire the whole block before the ender executes.
 #define APPLY_BATCH()                                                     \
@@ -264,229 +233,19 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             NEXT();
         L_Const:
             PRO();
-            WR_CLEAR(op->aux);
-            NEXT();
-        L_Addi:
-            PRO();
             // rd==zero folded to Nop.
-            m.regs_[op->rd] = RS1 + IMM;
-            m.srf_arith(riscv::Opcode::ADDI, RD_REG, RS1_REG, Reg::zero);
+            m.regs_[op->rd] = op->aux;
+            m.srf_.clear(RD_REG);
             NEXT();
-        L_Slti:
-            PRO();
-            WR_CLEAR(static_cast<i64>(RS1) < op->imm ? 1 : 0);
-            NEXT();
-        L_Sltiu:
-            PRO();
-            WR_CLEAR(RS1 < IMM ? 1 : 0);
-            NEXT();
-        L_Xori:
-            PRO();
-            WR_CLEAR(RS1 ^ IMM);
-            NEXT();
-        L_Ori:
-            PRO();
-            WR_CLEAR(RS1 | IMM);
-            NEXT();
-        L_Andi:
-            PRO();
-            WR_CLEAR(RS1 & IMM);
-            NEXT();
-        L_Slli:
-            PRO();
-            WR_CLEAR(RS1 << (op->imm & 63));
-            NEXT();
-        L_Srli:
-            PRO();
-            WR_CLEAR(RS1 >> (op->imm & 63));
-            NEXT();
-        L_Srai:
-            PRO();
-            WR_CLEAR(static_cast<u64>(static_cast<i64>(RS1) >>
-                                      (op->imm & 63)));
-            NEXT();
-        L_Addiw:
-            PRO();
-            WR_CLEAR(sext32(RS1 + IMM));
-            NEXT();
-        L_Slliw:
-            PRO();
-            WR_CLEAR(sext32(RS1 << (op->imm & 31)));
-            NEXT();
-        L_Srliw:
-            PRO();
-            WR_CLEAR(sext32(static_cast<u32>(RS1) >> (op->imm & 31)));
-            NEXT();
-        L_Sraiw:
-            PRO();
-            WR_CLEAR(sext32(static_cast<u64>(static_cast<i32>(RS1) >>
-                                             (op->imm & 31))));
-            NEXT();
-        L_Add:
-            PRO();
-            {
-                const u64 v = RS1 + RS2;
-                if (op->rd) m.regs_[op->rd] = v;
-                m.srf_arith(riscv::Opcode::ADD, RD_REG, RS1_REG, RS2_REG);
-            }
-            NEXT();
-        L_Sub:
-            PRO();
-            {
-                const u64 v = RS1 - RS2;
-                if (op->rd) m.regs_[op->rd] = v;
-                m.srf_arith(riscv::Opcode::SUB, RD_REG, RS1_REG, RS2_REG);
-            }
-            NEXT();
-        L_Sll:
-            PRO();
-            WR_CLEAR(RS1 << (RS2 & 63));
-            NEXT();
-        L_Slt:
-            PRO();
-            WR_CLEAR(static_cast<i64>(RS1) < static_cast<i64>(RS2) ? 1 : 0);
-            NEXT();
-        L_Sltu:
-            PRO();
-            WR_CLEAR(RS1 < RS2 ? 1 : 0);
-            NEXT();
-        L_Xor:
-            PRO();
-            WR_CLEAR(RS1 ^ RS2);
-            NEXT();
-        L_Srl:
-            PRO();
-            WR_CLEAR(RS1 >> (RS2 & 63));
-            NEXT();
-        L_Sra:
-            PRO();
-            WR_CLEAR(static_cast<u64>(static_cast<i64>(RS1) >> (RS2 & 63)));
-            NEXT();
-        L_Or:
-            PRO();
-            WR_CLEAR(RS1 | RS2);
-            NEXT();
-        L_And:
-            PRO();
-            WR_CLEAR(RS1 & RS2);
-            NEXT();
-        L_Addw:
-            PRO();
-            WR_CLEAR(sext32(RS1 + RS2));
-            NEXT();
-        L_Subw:
-            PRO();
-            WR_CLEAR(sext32(RS1 - RS2));
-            NEXT();
-        L_Sllw:
-            PRO();
-            WR_CLEAR(sext32(RS1 << (RS2 & 31)));
-            NEXT();
-        L_Srlw:
-            PRO();
-            WR_CLEAR(sext32(static_cast<u32>(RS1) >> (RS2 & 31)));
-            NEXT();
-        L_Sraw:
-            PRO();
-            WR_CLEAR(sext32(static_cast<u64>(static_cast<i32>(RS1) >>
-                                             (RS2 & 31))));
-            NEXT();
-        L_Mul:
-            PRO();
-            WR_CLEAR(RS1* RS2);
-            NEXT();
-        L_Mulh:
-            PRO();
-            WR_CLEAR(static_cast<u64>(
-                (static_cast<__int128>(static_cast<i64>(RS1)) *
-                 static_cast<i64>(RS2)) >>
-                64));
-            NEXT();
-        L_Mulhsu:
-            PRO();
-            WR_CLEAR(static_cast<u64>(
-                (static_cast<__int128>(static_cast<i64>(RS1)) *
-                 static_cast<unsigned __int128>(RS2)) >>
-                64));
-            NEXT();
-        L_Mulhu:
-            PRO();
-            WR_CLEAR(static_cast<u64>(
-                (static_cast<unsigned __int128>(RS1) *
-                 static_cast<unsigned __int128>(RS2)) >>
-                64));
-            NEXT();
-        L_Div:
-            PRO();
-            {
-                const i64 a = static_cast<i64>(RS1), b = static_cast<i64>(RS2);
-                if (b == 0) WR_CLEAR(~u64{0});
-                else if (a == std::numeric_limits<i64>::min() && b == -1)
-                    WR_CLEAR(RS1);
-                else WR_CLEAR(static_cast<u64>(a / b));
-            }
-            NEXT();
-        L_Divu:
-            PRO();
-            WR_CLEAR(RS2 == 0 ? ~u64{0} : RS1 / RS2);
-            NEXT();
-        L_Rem:
-            PRO();
-            {
-                const i64 a = static_cast<i64>(RS1), b = static_cast<i64>(RS2);
-                if (b == 0) WR_CLEAR(RS1);
-                else if (a == std::numeric_limits<i64>::min() && b == -1)
-                    WR_CLEAR(0);
-                else WR_CLEAR(static_cast<u64>(a % b));
-            }
-            NEXT();
-        L_Remu:
-            PRO();
-            WR_CLEAR(RS2 == 0 ? RS1 : RS1 % RS2);
-            NEXT();
-        L_Mulw:
-            PRO();
-            WR_CLEAR(sext32(RS1* RS2));
-            NEXT();
-        L_Divw:
-            PRO();
-            {
-                const i32 a = static_cast<i32>(RS1), b = static_cast<i32>(RS2);
-                if (b == 0) WR_CLEAR(~u64{0});
-                else if (a == std::numeric_limits<i32>::min() && b == -1)
-                    WR_CLEAR(sext32(static_cast<u64>(static_cast<u32>(a))));
-                else
-                    WR_CLEAR(sext32(static_cast<u64>(
-                        static_cast<u32>(a / b))));
-            }
-            NEXT();
-        L_Divuw:
-            PRO();
-            {
-                const u32 a = static_cast<u32>(RS1), b = static_cast<u32>(RS2);
-                WR_CLEAR(b == 0 ? ~u64{0} : sext32(a / b));
-            }
-            NEXT();
-        L_Remw:
-            PRO();
-            {
-                const i32 a = static_cast<i32>(RS1), b = static_cast<i32>(RS2);
-                if (b == 0)
-                    WR_CLEAR(sext32(static_cast<u64>(static_cast<u32>(a))));
-                else if (a == std::numeric_limits<i32>::min() && b == -1)
-                    WR_CLEAR(0);
-                else
-                    WR_CLEAR(sext32(static_cast<u64>(
-                        static_cast<u32>(a % b))));
-            }
-            NEXT();
-        L_Remuw:
-            PRO();
-            {
-                const u32 a = static_cast<u32>(RS1), b = static_cast<u32>(RS2);
-                WR_CLEAR(b == 0 ? sext32(a) : sext32(a % b));
-            }
-            NEXT();
+        // RV64IM ALU ops (rv64im.hpp): one label per op, each with its
+        // compile-time opcode.
+#define HWST_ALU_LABEL(name, ...)                                         \
+    L_##name:                                                             \
+        PRO();                                                            \
+        m.alu_op<riscv::Opcode::name>(*op);                               \
+        NEXT();
+            HWST_RV64IM_ALU_LIST(HWST_ALU_LABEL)
+#undef HWST_ALU_LABEL
         L_Lb:
             LOAD_BODY(1, true);
             NEXT();
@@ -553,18 +312,11 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
         L_Bndr:
             UNIT(m.bndr(op->aux != 0, RD_REG, RS1_REG, RS2_REG));
             NEXT();
-        L_Beq:
-            BRANCH_BODY(RS1 == RS2);
-        L_Bne:
-            BRANCH_BODY(RS1 != RS2);
-        L_Blt:
-            BRANCH_BODY(static_cast<i64>(RS1) < static_cast<i64>(RS2));
-        L_Bge:
-            BRANCH_BODY(static_cast<i64>(RS1) >= static_cast<i64>(RS2));
-        L_Bltu:
-            BRANCH_BODY(RS1 < RS2);
-        L_Bgeu:
-            BRANCH_BODY(RS1 >= RS2);
+#define HWST_BRANCH_LABEL(name)                                           \
+    L_##name:                                                             \
+        BRANCH_BODY(branch_taken<riscv::Opcode::name>(RS1, RS2));
+            HWST_RV64I_BRANCH_LIST(HWST_BRANCH_LABEL)
+#undef HWST_BRANCH_LABEL
         L_Jal:
             PRO();
             APPLY_BATCH();
@@ -653,7 +405,6 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
 #undef RS1_REG
 #undef RS2_REG
 #undef IMM
-#undef WR_CLEAR
 #undef APPLY_BATCH
 #undef UNIT
 #undef CHAIN
@@ -661,35 +412,5 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
 #undef STORE_BODY
 #undef BRANCH_BODY
 }
-
-#else // !HWST_THREADED_DISPATCH
-
-// Portable degradation: the interpreter loop with identical poll/fuel
-// semantics. Simulated results are the same by construction; only the
-// host speedup is lost.
-bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
-                     u64 stride, Trap& out)
-{
-    u64 countdown = stride;
-    while (m.running_) {
-        if (cancel && --countdown == 0) {
-            if ((*cancel)()) return false;
-            countdown = stride;
-        }
-        if (m.instret_ >= m.cfg_.fuel) {
-            out = Trap{TrapKind::FuelExhausted, 0, m.pc_};
-            m.running_ = false;
-            return true;
-        }
-        const Trap t = m.step();
-        if (t.kind != TrapKind::None) {
-            out = t;
-            return true;
-        }
-    }
-    return true;
-}
-
-#endif // HWST_THREADED_DISPATCH
 
 } // namespace hwst::sim

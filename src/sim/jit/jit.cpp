@@ -2,11 +2,11 @@
 // call-outs (jit.hpp has the policy overview; sim/jit/runtime.cpp the
 // driver loop). The bit-exactness strategy is two-layered:
 //
-//  * Everything non-trivial (checked ops, HWST metadata ops, div/rem
-//    corner cases, slow memory paths, interp-one) calls back into C++
-//    helpers in JitOps below. The HWST ops call the same Machine unit
-//    kernels (machine.hpp) as the interpreter and the dispatcher, so
-//    their semantics exist once. Helpers never unwind through emitted
+//  * Everything non-trivial (checked ops, HWST metadata ops, the
+//    mulh/div/rem family, slow memory paths, interp-one) calls back
+//    into C++ helpers in JitOps below. The HWST ops and those ALU ops
+//    call the same kernels (machine.hpp, rv64im.hpp) as the
+//    interpreter and the dispatcher, so their semantics exist once. Helpers never unwind through emitted
 //    frames: MemFault is caught inside and converted to an
 //    exit-with-trap, exactly where the dispatcher's catch converts it.
 //  * The inlined fast paths (ALU ops, load/store TLB probe, cache
@@ -21,8 +21,8 @@
 //   r15 = Machine* (helper arg0)  rbx = op-scratch (live across calls)
 #include "sim/jit/jit.hpp"
 
+#include <array>
 #include <cstring>
-#include <limits>
 
 #include "sim/machine.hpp"
 
@@ -42,13 +42,6 @@ using hwst::TrapKind;
 using mem::MemFault;
 using riscv::Reg;
 
-namespace {
-u64 sext32(u64 v)
-{
-    return static_cast<u64>(static_cast<i64>(static_cast<i32>(v)));
-}
-} // namespace
-
 // ---------------------------------------------------------------------
 // Helper call-outs: the matching dispatcher body (sim/dispatch.cpp)
 // minus the PRO() prologue, which the templates emit inline. Status
@@ -67,103 +60,22 @@ struct JitOps {
     }
     static void kb_flush(Machine* m) { m->keybuffer_.flush(); }
 
-    // WR_CLEAR, as the dispatcher macro: unconditional write (rd == x0
-    // variants of these kinds were folded to Nop at translation).
-    static void wr_clear(Machine* m, const SbOp* op, u64 v)
+    /// RV64IM ALU op `Op` (the dispatcher's ALU labels): the ops the
+    /// templates do not emit natively (MULH*, DIV*, REM*) call this.
+    template <riscv::Opcode Op>
+    static void alu(Machine* m, const SbOp* op)
     {
-        m->regs_[op->rd] = v;
-        m->srf_.clear(static_cast<Reg>(op->rd));
+        m->alu_op<Op>(*op);
     }
-
-    static void mulh(Machine* m, const SbOp* op)
-    {
-        wr_clear(m, op,
-                 static_cast<u64>(
-                     (static_cast<__int128>(
-                          static_cast<i64>(m->regs_[op->rs1])) *
-                      static_cast<i64>(m->regs_[op->rs2])) >>
-                     64));
-    }
-    static void mulhsu(Machine* m, const SbOp* op)
-    {
-        wr_clear(m, op,
-                 static_cast<u64>(
-                     (static_cast<__int128>(
-                          static_cast<i64>(m->regs_[op->rs1])) *
-                      static_cast<unsigned __int128>(m->regs_[op->rs2])) >>
-                     64));
-    }
-    static void mulhu(Machine* m, const SbOp* op)
-    {
-        wr_clear(m, op,
-                 static_cast<u64>(
-                     (static_cast<unsigned __int128>(m->regs_[op->rs1]) *
-                      static_cast<unsigned __int128>(m->regs_[op->rs2])) >>
-                     64));
-    }
-    static void div(Machine* m, const SbOp* op)
-    {
-        const i64 a = static_cast<i64>(m->regs_[op->rs1]);
-        const i64 b = static_cast<i64>(m->regs_[op->rs2]);
-        if (b == 0) wr_clear(m, op, ~u64{0});
-        else if (a == std::numeric_limits<i64>::min() && b == -1)
-            wr_clear(m, op, m->regs_[op->rs1]);
-        else wr_clear(m, op, static_cast<u64>(a / b));
-    }
-    static void divu(Machine* m, const SbOp* op)
-    {
-        const u64 a = m->regs_[op->rs1], b = m->regs_[op->rs2];
-        wr_clear(m, op, b == 0 ? ~u64{0} : a / b);
-    }
-    static void rem(Machine* m, const SbOp* op)
-    {
-        const i64 a = static_cast<i64>(m->regs_[op->rs1]);
-        const i64 b = static_cast<i64>(m->regs_[op->rs2]);
-        if (b == 0) wr_clear(m, op, m->regs_[op->rs1]);
-        else if (a == std::numeric_limits<i64>::min() && b == -1)
-            wr_clear(m, op, 0);
-        else wr_clear(m, op, static_cast<u64>(a % b));
-    }
-    static void remu(Machine* m, const SbOp* op)
-    {
-        const u64 a = m->regs_[op->rs1], b = m->regs_[op->rs2];
-        wr_clear(m, op, b == 0 ? a : a % b);
-    }
-    static void divw(Machine* m, const SbOp* op)
-    {
-        const i32 a = static_cast<i32>(m->regs_[op->rs1]);
-        const i32 b = static_cast<i32>(m->regs_[op->rs2]);
-        if (b == 0) wr_clear(m, op, ~u64{0});
-        else if (a == std::numeric_limits<i32>::min() && b == -1)
-            wr_clear(m, op, sext32(static_cast<u64>(static_cast<u32>(a))));
-        else
-            wr_clear(m, op,
-                     sext32(static_cast<u64>(static_cast<u32>(a / b))));
-    }
-    static void divuw(Machine* m, const SbOp* op)
-    {
-        const u32 a = static_cast<u32>(m->regs_[op->rs1]);
-        const u32 b = static_cast<u32>(m->regs_[op->rs2]);
-        wr_clear(m, op, b == 0 ? ~u64{0} : sext32(a / b));
-    }
-    static void remw(Machine* m, const SbOp* op)
-    {
-        const i32 a = static_cast<i32>(m->regs_[op->rs1]);
-        const i32 b = static_cast<i32>(m->regs_[op->rs2]);
-        if (b == 0)
-            wr_clear(m, op, sext32(static_cast<u64>(static_cast<u32>(a))));
-        else if (a == std::numeric_limits<i32>::min() && b == -1)
-            wr_clear(m, op, 0);
-        else
-            wr_clear(m, op,
-                     sext32(static_cast<u64>(static_cast<u32>(a % b))));
-    }
-    static void remuw(Machine* m, const SbOp* op)
-    {
-        const u32 a = static_cast<u32>(m->regs_[op->rs1]);
-        const u32 b = static_cast<u32>(m->regs_[op->rs2]);
-        wr_clear(m, op, b == 0 ? sext32(a) : sext32(a % b));
-    }
+    /// alu<Op> of every ALU kind, indexed by SbKind (null elsewhere).
+    static constexpr auto kAlu = [] {
+        std::array<void (*)(Machine*, const SbOp*), kNumSbKinds> t{};
+#define HWST_JIT_ALU(name, ...) \
+    t[static_cast<unsigned>(SbKind::name)] = &alu<riscv::Opcode::name>;
+        HWST_RV64IM_ALU_LIST(HWST_JIT_ALU)
+#undef HWST_JIT_ALU
+        return t;
+    }();
 
     // ---- emission-time state bundle ---------------------------------
     /// Everything BlockEmitter bakes into emitted code, fetched in one
@@ -566,17 +478,8 @@ struct RtEmitter {
             emit_store(w);
         }
         tramp_void2(&JitOps::pro_icache);
-        tramp_void2(&JitOps::mulh);
-        tramp_void2(&JitOps::mulhsu);
-        tramp_void2(&JitOps::mulhu);
-        tramp_void2(&JitOps::div);
-        tramp_void2(&JitOps::divu);
-        tramp_void2(&JitOps::rem);
-        tramp_void2(&JitOps::remu);
-        tramp_void2(&JitOps::divw);
-        tramp_void2(&JitOps::divuw);
-        tramp_void2(&JitOps::remw);
-        tramp_void2(&JitOps::remuw);
+        for (const auto fn : JitOps::kAlu)
+            if (fn) tramp_void2(fn);
         tramp_status3(&JitOps::unit<&JitOps::checked_load>);
         tramp_status3(&JitOps::unit<&JitOps::checked_store>);
         tramp_status3(&JitOps::unit<&JitOps::sbd>);
@@ -1179,13 +1082,6 @@ struct BlockEmitter {
             a.movzx8_32(RAX, RAX);
             wr_clear(op.rd);
         };
-        const auto helper_void = [&](void (*fn)(Machine*, const SbOp*)) {
-            pro(op);
-            call_void(fn, &op);
-            // Every helper of this shape (mul/div family) ends in
-            // WR_CLEAR: rd's entry is zero afterwards.
-            srf_zero |= 1u << op.rd;
-        };
         const auto helper_status =
             [&](u64 (*fn)(Machine*, const SbOp*, JitContext*)) {
                 pro(op);
@@ -1199,66 +1095,66 @@ struct BlockEmitter {
             a.mov_ri(RAX, op.aux);
             wr_clear(op.rd);
             break;
-        case SbKind::Addi:
+        case SbKind::ADDI:
             pro(op);
             load_rs(RAX, op.rs1);
             if (op.imm) a.alu_ri(ALU_ADD, RAX, static_cast<i32>(op.imm));
             store_rd(op.rd, RAX);
             srf_prop(op.rd, op.rs1); // pointer-arithmetic rule
             break;
-        case SbKind::Slti: set_cmp_imm(CC_L); break;
-        case SbKind::Sltiu: set_cmp_imm(CC_B); break;
-        case SbKind::Xori: alu_imm(ALU_XOR); break;
-        case SbKind::Ori: alu_imm(ALU_OR); break;
-        case SbKind::Andi: alu_imm(ALU_AND); break;
-        case SbKind::Slli: shift_imm(SH_SHL, 63, false, false); break;
-        case SbKind::Srli: shift_imm(SH_SHR, 63, false, false); break;
-        case SbKind::Srai: shift_imm(SH_SAR, 63, false, false); break;
-        case SbKind::Addiw:
+        case SbKind::SLTI: set_cmp_imm(CC_L); break;
+        case SbKind::SLTIU: set_cmp_imm(CC_B); break;
+        case SbKind::XORI: alu_imm(ALU_XOR); break;
+        case SbKind::ORI: alu_imm(ALU_OR); break;
+        case SbKind::ANDI: alu_imm(ALU_AND); break;
+        case SbKind::SLLI: shift_imm(SH_SHL, 63, false, false); break;
+        case SbKind::SRLI: shift_imm(SH_SHR, 63, false, false); break;
+        case SbKind::SRAI: shift_imm(SH_SAR, 63, false, false); break;
+        case SbKind::ADDIW:
             pro(op);
             load_rs(RAX, op.rs1);
             if (op.imm) a.alu_ri(ALU_ADD, RAX, static_cast<i32>(op.imm));
             a.cdqe();
             wr_clear(op.rd);
             break;
-        case SbKind::Slliw: shift_imm(SH_SHL, 31, false, true); break;
-        case SbKind::Srliw: shift_imm(SH_SHR, 31, true, true); break;
-        case SbKind::Sraiw: shift_imm(SH_SAR, 31, true, true); break;
-        case SbKind::Add: emit_add_sub(op, true); break;
-        case SbKind::Sub: emit_add_sub(op, false); break;
-        case SbKind::Sll: shift_reg(SH_SHL, 63, false, false); break;
-        case SbKind::Slt: set_cmp_reg(CC_L); break;
-        case SbKind::Sltu: set_cmp_reg(CC_B); break;
-        case SbKind::Xor: alu_reg(ALU_XOR); break;
-        case SbKind::Srl: shift_reg(SH_SHR, 63, false, false); break;
-        case SbKind::Sra: shift_reg(SH_SAR, 63, false, false); break;
-        case SbKind::Or: alu_reg(ALU_OR); break;
-        case SbKind::And: alu_reg(ALU_AND); break;
-        case SbKind::Addw:
+        case SbKind::SLLIW: shift_imm(SH_SHL, 31, false, true); break;
+        case SbKind::SRLIW: shift_imm(SH_SHR, 31, true, true); break;
+        case SbKind::SRAIW: shift_imm(SH_SAR, 31, true, true); break;
+        case SbKind::ADD: emit_add_sub(op, true); break;
+        case SbKind::SUB: emit_add_sub(op, false); break;
+        case SbKind::SLL: shift_reg(SH_SHL, 63, false, false); break;
+        case SbKind::SLT: set_cmp_reg(CC_L); break;
+        case SbKind::SLTU: set_cmp_reg(CC_B); break;
+        case SbKind::XOR: alu_reg(ALU_XOR); break;
+        case SbKind::SRL: shift_reg(SH_SHR, 63, false, false); break;
+        case SbKind::SRA: shift_reg(SH_SAR, 63, false, false); break;
+        case SbKind::OR: alu_reg(ALU_OR); break;
+        case SbKind::AND: alu_reg(ALU_AND); break;
+        case SbKind::ADDW:
             pro(op);
             load_rs(RAX, op.rs1);
             a.alu_rm(ALU_ADD, RAX, R12, static_cast<i32>(8 * op.rs2));
             a.cdqe();
             wr_clear(op.rd);
             break;
-        case SbKind::Subw:
+        case SbKind::SUBW:
             pro(op);
             load_rs(RAX, op.rs1);
             a.alu_rm(ALU_SUB, RAX, R12, static_cast<i32>(8 * op.rs2));
             a.cdqe();
             wr_clear(op.rd);
             break;
-        case SbKind::Sllw: shift_reg(SH_SHL, 31, false, true); break;
-        case SbKind::Srlw: shift_reg(SH_SHR, 31, true, true); break;
-        case SbKind::Sraw: shift_reg(SH_SAR, 31, true, true); break;
-        case SbKind::Mul:
+        case SbKind::SLLW: shift_reg(SH_SHL, 31, false, true); break;
+        case SbKind::SRLW: shift_reg(SH_SHR, 31, true, true); break;
+        case SbKind::SRAW: shift_reg(SH_SAR, 31, true, true); break;
+        case SbKind::MUL:
             pro(op);
             load_rs(RAX, op.rs1);
             load_rs(RCX, op.rs2);
             a.imul_rr(RAX, RCX);
             wr_clear(op.rd);
             break;
-        case SbKind::Mulw:
+        case SbKind::MULW:
             pro(op);
             load_rs(RAX, op.rs1);
             load_rs(RCX, op.rs2);
@@ -1266,17 +1162,6 @@ struct BlockEmitter {
             a.cdqe();
             wr_clear(op.rd);
             break;
-        case SbKind::Mulh: helper_void(&JitOps::mulh); break;
-        case SbKind::Mulhsu: helper_void(&JitOps::mulhsu); break;
-        case SbKind::Mulhu: helper_void(&JitOps::mulhu); break;
-        case SbKind::Div: helper_void(&JitOps::div); break;
-        case SbKind::Divu: helper_void(&JitOps::divu); break;
-        case SbKind::Rem: helper_void(&JitOps::rem); break;
-        case SbKind::Remu: helper_void(&JitOps::remu); break;
-        case SbKind::Divw: helper_void(&JitOps::divw); break;
-        case SbKind::Divuw: helper_void(&JitOps::divuw); break;
-        case SbKind::Remw: helper_void(&JitOps::remw); break;
-        case SbKind::Remuw: helper_void(&JitOps::remuw); break;
         case SbKind::Lb: emit_plain_load(op, 1, true); break;
         case SbKind::Lh: emit_plain_load(op, 2, true); break;
         case SbKind::Lw: emit_plain_load(op, 4, true); break;
@@ -1306,12 +1191,12 @@ struct BlockEmitter {
             helper_status(&JitOps::unit<&JitOps::hwst>);
             srf_zero = 0; // srf_effects may touch any entry
             break;
-        case SbKind::Beq: emit_branch(op, CC_E); break;
-        case SbKind::Bne: emit_branch(op, CC_NE); break;
-        case SbKind::Blt: emit_branch(op, CC_L); break;
-        case SbKind::Bge: emit_branch(op, CC_GE); break;
-        case SbKind::Bltu: emit_branch(op, CC_B); break;
-        case SbKind::Bgeu: emit_branch(op, CC_AE); break;
+        case SbKind::BEQ: emit_branch(op, CC_E); break;
+        case SbKind::BNE: emit_branch(op, CC_NE); break;
+        case SbKind::BLT: emit_branch(op, CC_L); break;
+        case SbKind::BGE: emit_branch(op, CC_GE); break;
+        case SbKind::BLTU: emit_branch(op, CC_B); break;
+        case SbKind::BGEU: emit_branch(op, CC_AE); break;
         case SbKind::Jal: emit_jal(op); break;
         case SbKind::Jalr: emit_jalr(op); break;
         case SbKind::InterpOne:
@@ -1324,6 +1209,14 @@ struct BlockEmitter {
             apply_batch(); // no fetch, no retirement of its own
             set_pc(op.pc);
             chain_site();
+            break;
+        default:
+            // The ALU kinds with no native template (MULH*, DIV*, REM*)
+            // call their JitOps::alu<Op>, which ends in a metadata
+            // clear: rd's entry is zero afterwards.
+            pro(op);
+            call_void(JitOps::kAlu[static_cast<unsigned>(op.kind)], &op);
+            srf_zero |= 1u << op.rd;
             break;
         }
     }

@@ -46,10 +46,7 @@ bool run_jit(Machine& m, const std::function<bool()>* cancel, u64 stride,
         m.text_base_,
         m.cfg_.icache.line_bytes,
         m.cfg_.icache_enabled,
-        m.cfg_.timing.load_use_stall,
-        m.cfg_.timing.mul_extra,
-        m.cfg_.timing.div_extra,
-        m.cfg_.timing.branch_taken_penalty,
+        m.cfg_.timing,
         nullptr, // labels stay unbound; only the dispatcher needs them
     };
     const u64 text_base = m.text_base_;

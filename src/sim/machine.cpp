@@ -25,10 +25,6 @@ using riscv::Opcode;
 
 namespace {
 
-using common::i32;
-
-u64 sext32(u64 v) { return static_cast<u64>(static_cast<i64>(static_cast<i32>(v))); }
-
 constexpr bool reads_rs1(Format f)
 {
     switch (f) {
@@ -198,24 +194,30 @@ void Machine::jit_drop_code()
     if (jit_) jit_->drop_code(jit_stats_);
 }
 
-Machine::ActiveCompression Machine::decode_compression()
+Machine::ActiveCompression Machine::compression_for(u64 bitw, u64 lock_base)
 {
-    const u64 bitw = probe(Probe::CompCsrWidths,
-                           csrs_.read(hwst::kCsrBitw).value_or(0));
     auto cfg = metadata::CompressionConfig::from_csr(
-        static_cast<u32>(bitw) & 0xFFFFFF,
-        csrs_.read(hwst::kCsrLockBase).value_or(0));
+        static_cast<u32>(bitw) & 0xFFFFFF, lock_base);
     bool valid = true;
     try {
         cfg.validate();
     } catch (const common::ConfigError&) {
         valid = false;
     }
+    return ActiveCompression{cfg, valid};
+}
+
+Machine::ActiveCompression Machine::decode_compression()
+{
+    const u64 bitw = probe(Probe::CompCsrWidths,
+                           csrs_.read(hwst::kCsrBitw).value_or(0));
+    const ActiveCompression ac = compression_for(
+        bitw, csrs_.read(hwst::kCsrLockBase).value_or(0));
     if (!probe_hook_) {
-        comp_memo_ = ActiveCompression{cfg, valid};
+        comp_memo_ = ac;
         comp_version_ = csrs_.version();
     }
-    return ActiveCompression{cfg, valid};
+    return ac;
 }
 
 Trap Machine::step()
@@ -277,146 +279,16 @@ Trap Machine::exec(const Instruction& in, u64& next_pc)
     const auto& t = cfg_.timing;
 
     switch (in.op) {
-    // ---- RV64I arithmetic ------------------------------------------
+    // ---- RV64IM arithmetic (ALU ops: rv64im.hpp) ---------------------
     case Opcode::LUI: set_reg(in.rd, imm); break;
     case Opcode::AUIPC: set_reg(in.rd, pc_ + imm); break;
-    case Opcode::ADDI: set_reg(in.rd, rs1 + imm); break;
-    case Opcode::SLTI:
-        set_reg(in.rd, static_cast<i64>(rs1) < in.imm ? 1 : 0);
+#define HWST_EXEC_ALU(name, ...)                                          \
+    case Opcode::name:                                                    \
+        cycles_ += fu_extra(Opcode::name, t);                             \
+        set_reg(in.rd, alu<Opcode::name>(rs1, rs2, in.imm));              \
         break;
-    case Opcode::SLTIU: set_reg(in.rd, rs1 < imm ? 1 : 0); break;
-    case Opcode::XORI: set_reg(in.rd, rs1 ^ imm); break;
-    case Opcode::ORI: set_reg(in.rd, rs1 | imm); break;
-    case Opcode::ANDI: set_reg(in.rd, rs1 & imm); break;
-    case Opcode::SLLI: set_reg(in.rd, rs1 << (imm & 63)); break;
-    case Opcode::SRLI: set_reg(in.rd, rs1 >> (imm & 63)); break;
-    case Opcode::SRAI:
-        set_reg(in.rd, static_cast<u64>(static_cast<i64>(rs1) >> (imm & 63)));
-        break;
-    case Opcode::ADD: set_reg(in.rd, rs1 + rs2); break;
-    case Opcode::SUB: set_reg(in.rd, rs1 - rs2); break;
-    case Opcode::SLL: set_reg(in.rd, rs1 << (rs2 & 63)); break;
-    case Opcode::SLT:
-        set_reg(in.rd,
-                static_cast<i64>(rs1) < static_cast<i64>(rs2) ? 1 : 0);
-        break;
-    case Opcode::SLTU: set_reg(in.rd, rs1 < rs2 ? 1 : 0); break;
-    case Opcode::XOR: set_reg(in.rd, rs1 ^ rs2); break;
-    case Opcode::SRL: set_reg(in.rd, rs1 >> (rs2 & 63)); break;
-    case Opcode::SRA:
-        set_reg(in.rd,
-                static_cast<u64>(static_cast<i64>(rs1) >> (rs2 & 63)));
-        break;
-    case Opcode::OR: set_reg(in.rd, rs1 | rs2); break;
-    case Opcode::AND: set_reg(in.rd, rs1 & rs2); break;
-    case Opcode::ADDIW: set_reg(in.rd, sext32(rs1 + imm)); break;
-    case Opcode::SLLIW: set_reg(in.rd, sext32(rs1 << (imm & 31))); break;
-    case Opcode::SRLIW:
-        set_reg(in.rd, sext32(static_cast<u32>(rs1) >> (imm & 31)));
-        break;
-    case Opcode::SRAIW:
-        set_reg(in.rd,
-                sext32(static_cast<u64>(static_cast<i32>(rs1) >>
-                                        (imm & 31))));
-        break;
-    case Opcode::ADDW: set_reg(in.rd, sext32(rs1 + rs2)); break;
-    case Opcode::SUBW: set_reg(in.rd, sext32(rs1 - rs2)); break;
-    case Opcode::SLLW: set_reg(in.rd, sext32(rs1 << (rs2 & 31))); break;
-    case Opcode::SRLW:
-        set_reg(in.rd, sext32(static_cast<u32>(rs1) >> (rs2 & 31)));
-        break;
-    case Opcode::SRAW:
-        set_reg(in.rd,
-                sext32(static_cast<u64>(static_cast<i32>(rs1) >>
-                                        (rs2 & 31))));
-        break;
-
-    // ---- RV64M --------------------------------------------------------
-    case Opcode::MUL:
-        cycles_ += t.mul_extra;
-        set_reg(in.rd, rs1 * rs2);
-        break;
-    case Opcode::MULH:
-        cycles_ += t.mul_extra;
-        set_reg(in.rd,
-                static_cast<u64>((static_cast<__int128>(static_cast<i64>(rs1)) *
-                                  static_cast<i64>(rs2)) >>
-                                 64));
-        break;
-    case Opcode::MULHSU:
-        cycles_ += t.mul_extra;
-        set_reg(in.rd,
-                static_cast<u64>((static_cast<__int128>(static_cast<i64>(rs1)) *
-                                  static_cast<unsigned __int128>(rs2)) >>
-                                 64));
-        break;
-    case Opcode::MULHU:
-        cycles_ += t.mul_extra;
-        set_reg(in.rd,
-                static_cast<u64>((static_cast<unsigned __int128>(rs1) *
-                                  static_cast<unsigned __int128>(rs2)) >>
-                                 64));
-        break;
-    case Opcode::DIV: {
-        cycles_ += t.div_extra;
-        const i64 a = static_cast<i64>(rs1), b = static_cast<i64>(rs2);
-        if (b == 0) set_reg(in.rd, ~u64{0});
-        else if (a == std::numeric_limits<i64>::min() && b == -1)
-            set_reg(in.rd, rs1);
-        else set_reg(in.rd, static_cast<u64>(a / b));
-        break;
-    }
-    case Opcode::DIVU:
-        cycles_ += t.div_extra;
-        set_reg(in.rd, rs2 == 0 ? ~u64{0} : rs1 / rs2);
-        break;
-    case Opcode::REM: {
-        cycles_ += t.div_extra;
-        const i64 a = static_cast<i64>(rs1), b = static_cast<i64>(rs2);
-        if (b == 0) set_reg(in.rd, rs1);
-        else if (a == std::numeric_limits<i64>::min() && b == -1)
-            set_reg(in.rd, 0);
-        else set_reg(in.rd, static_cast<u64>(a % b));
-        break;
-    }
-    case Opcode::REMU:
-        cycles_ += t.div_extra;
-        set_reg(in.rd, rs2 == 0 ? rs1 : rs1 % rs2);
-        break;
-    case Opcode::MULW:
-        cycles_ += t.mul_extra;
-        set_reg(in.rd, sext32(rs1 * rs2));
-        break;
-    case Opcode::DIVW: {
-        cycles_ += t.div_extra;
-        const i32 a = static_cast<i32>(rs1), b = static_cast<i32>(rs2);
-        if (b == 0) set_reg(in.rd, ~u64{0});
-        else if (a == std::numeric_limits<i32>::min() && b == -1)
-            set_reg(in.rd, sext32(static_cast<u64>(static_cast<u32>(a))));
-        else set_reg(in.rd, sext32(static_cast<u64>(static_cast<u32>(a / b))));
-        break;
-    }
-    case Opcode::DIVUW: {
-        cycles_ += t.div_extra;
-        const u32 a = static_cast<u32>(rs1), b = static_cast<u32>(rs2);
-        set_reg(in.rd, b == 0 ? ~u64{0} : sext32(a / b));
-        break;
-    }
-    case Opcode::REMW: {
-        cycles_ += t.div_extra;
-        const i32 a = static_cast<i32>(rs1), b = static_cast<i32>(rs2);
-        if (b == 0) set_reg(in.rd, sext32(static_cast<u64>(static_cast<u32>(a))));
-        else if (a == std::numeric_limits<i32>::min() && b == -1)
-            set_reg(in.rd, 0);
-        else set_reg(in.rd, sext32(static_cast<u64>(static_cast<u32>(a % b))));
-        break;
-    }
-    case Opcode::REMUW: {
-        cycles_ += t.div_extra;
-        const u32 a = static_cast<u32>(rs1), b = static_cast<u32>(rs2);
-        set_reg(in.rd, b == 0 ? sext32(a) : sext32(a % b));
-        break;
-    }
+    HWST_RV64IM_ALU_LIST(HWST_EXEC_ALU)
+#undef HWST_EXEC_ALU
 
     // ---- control transfer ------------------------------------------
     case Opcode::JAL:
@@ -429,27 +301,15 @@ Trap Machine::exec(const Instruction& in, u64& next_pc)
         next_pc = (rs1 + imm) & ~u64{1};
         cycles_ += t.branch_taken_penalty;
         break;
-    case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT: case Opcode::BGE:
-    case Opcode::BLTU: case Opcode::BGEU: {
-        bool taken = false;
-        switch (in.op) {
-        case Opcode::BEQ: taken = rs1 == rs2; break;
-        case Opcode::BNE: taken = rs1 != rs2; break;
-        case Opcode::BLT:
-            taken = static_cast<i64>(rs1) < static_cast<i64>(rs2);
-            break;
-        case Opcode::BGE:
-            taken = static_cast<i64>(rs1) >= static_cast<i64>(rs2);
-            break;
-        case Opcode::BLTU: taken = rs1 < rs2; break;
-        default: taken = rs1 >= rs2; break;
-        }
-        if (taken) {
-            next_pc = pc_ + imm;
-            cycles_ += t.branch_taken_penalty;
-        }
+#define HWST_EXEC_BRANCH(name)                                            \
+    case Opcode::name:                                                    \
+        if (branch_taken<Opcode::name>(rs1, rs2)) {                       \
+            next_pc = pc_ + imm;                                          \
+            cycles_ += t.branch_taken_penalty;                            \
+        }                                                                 \
         break;
-    }
+    HWST_RV64I_BRANCH_LIST(HWST_EXEC_BRANCH)
+#undef HWST_EXEC_BRANCH
 
     // ---- memory --------------------------------------------------------
     case Opcode::LB: case Opcode::LH: case Opcode::LW: case Opcode::LD:
@@ -501,13 +361,8 @@ Trap Machine::exec(const Instruction& in, u64& next_pc)
                     in.csr == hwst::kCsrLockBase
                         ? next
                         : csrs_.read(hwst::kCsrLockBase).value_or(0);
-                auto cc = metadata::CompressionConfig::from_csr(
-                    static_cast<u32>(bitw) & 0xFFFFFF, lock_base);
-                try {
-                    cc.validate();
-                } catch (const common::ConfigError&) {
+                if (!compression_for(bitw, lock_base).valid)
                     return Trap{TrapKind::IllegalInstruction, in.csr, pc_};
-                }
             }
             csrs_.write(in.csr, next);
         }

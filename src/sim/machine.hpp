@@ -33,16 +33,6 @@ using common::u32;
 using common::u64;
 using riscv::Reg;
 
-/// Cycle costs of the in-order 5-stage pipeline (Rocket-like).
-struct TimingConfig {
-    unsigned branch_taken_penalty = 3; ///< Rocket resolves in MEM
-    unsigned load_use_stall = 1;       ///< consumer right after a load
-    unsigned mul_extra = 3;            ///< iterative multiplier
-    unsigned div_extra = 24;
-    unsigned csr_extra = 1;
-    unsigned ecall_cost = 140; ///< proxy-kernel round trip
-};
-
 /// Runtime (proxy-kernel) behaviour knobs, set per protection scheme by
 /// the compiler driver.
 struct RuntimeConfig {
@@ -364,6 +354,10 @@ private:
         return decode_compression();
     }
     ActiveCompression decode_compression();
+    /// The one definition of "usable widths": COMP/DECOMP's config for
+    /// these csr.bitw / csr.lock.base values, validated. The CSR write
+    /// path rejects values it marks invalid.
+    static ActiveCompression compression_for(u64 bitw, u64 lock_base);
 
     // ---- HWST128 unit operations (paper Fig. 3) ----------------------
     // The one definition of each SCU/TCU/COMP/SMAC operation. Every
@@ -553,6 +547,26 @@ private:
         if (a && !b) srf_.propagate(rd, rs1);
         else if (op == riscv::Opcode::ADD && b && !a) srf_.propagate(rd, rs2);
         else srf_.clear(rd);
+    }
+
+    /// RV64IM ALU op `Op` of a translated block, for the dispatcher and
+    /// the JIT's call-outs: the rv64im.hpp result kernel, then the srf
+    /// rule srf_effects applies. Translation folded the rd == x0
+    /// variants of folds_when_rd_zero ops to Nop, so their register
+    /// write is unconditional.
+    template <riscv::Opcode Op>
+    [[gnu::always_inline]] void alu_op(const SbOp& op)
+    {
+        const u64 v = alu<Op>(regs_[op.rs1], regs_[op.rs2], op.imm);
+        const Reg rd = static_cast<Reg>(op.rd);
+        if constexpr (is_pointer_arith(Op)) {
+            if (folds_when_rd_zero(Op) || op.rd) regs_[op.rd] = v;
+            srf_arith(Op, rd, static_cast<Reg>(op.rs1),
+                      static_cast<Reg>(op.rs2));
+        } else {
+            regs_[op.rd] = v;
+            srf_.clear(rd);
+        }
     }
 
     // Superblock DBT tier state. The block cache is created lazily on

@@ -16,61 +16,13 @@ using riscv::Reg;
 
 namespace {
 
-/// Per-opcode static cycle cost on top of the base 1 cycle: the
-/// functional-unit extras exec() adds unconditionally, plus the
-/// always-taken penalty of unconditional jumps. Conditional-branch
-/// penalties, csr_extra, ecall_cost and D-cache extras stay dynamic.
-unsigned static_cycle_extra(Opcode op, const TranslateEnv& env)
-{
-    switch (op) {
-    case Opcode::MUL: case Opcode::MULH: case Opcode::MULHSU:
-    case Opcode::MULHU: case Opcode::MULW:
-        return env.mul_extra;
-    case Opcode::DIV: case Opcode::DIVU: case Opcode::REM:
-    case Opcode::REMU: case Opcode::DIVW: case Opcode::DIVUW:
-    case Opcode::REMW: case Opcode::REMUW:
-        return env.div_extra;
-    case Opcode::JAL: case Opcode::JALR:
-        return env.branch_taken_penalty;
-    default:
-        return 0;
-    }
-}
-
 constexpr bool is_ender_kind(SbKind k)
 {
     switch (k) {
-    case SbKind::Beq: case SbKind::Bne: case SbKind::Blt:
-    case SbKind::Bge: case SbKind::Bltu: case SbKind::Bgeu:
+#define HWST_SB_BRANCH_CASE(name) case SbKind::name:
+    HWST_RV64I_BRANCH_LIST(HWST_SB_BRANCH_CASE)
+#undef HWST_SB_BRANCH_CASE
     case SbKind::Jal: case SbKind::Jalr: case SbKind::InterpOne:
-        return true;
-    default:
-        return false;
-    }
-}
-
-/// rd==zero folds these to Nop: the register write is suppressed and
-/// srf_effects' default clear(rd) is guarded by rd != zero, so the op
-/// has no architectural effect beyond its (statically folded) cycle and
-/// mix contribution. ADD/SUB are excluded — their srf propagation rule
-/// ends in an *unguarded* clear(rd), which mutates SRF entry 0.
-constexpr bool foldable_when_rd_zero(SbKind k)
-{
-    switch (k) {
-    case SbKind::Const: case SbKind::Addi: case SbKind::Slti:
-    case SbKind::Sltiu: case SbKind::Xori: case SbKind::Ori:
-    case SbKind::Andi: case SbKind::Slli: case SbKind::Srli:
-    case SbKind::Srai: case SbKind::Addiw: case SbKind::Slliw:
-    case SbKind::Srliw: case SbKind::Sraiw: case SbKind::Sll:
-    case SbKind::Slt: case SbKind::Sltu: case SbKind::Xor:
-    case SbKind::Srl: case SbKind::Sra: case SbKind::Or:
-    case SbKind::And: case SbKind::Addw: case SbKind::Subw:
-    case SbKind::Sllw: case SbKind::Srlw: case SbKind::Sraw:
-    case SbKind::Mul: case SbKind::Mulh: case SbKind::Mulhsu:
-    case SbKind::Mulhu: case SbKind::Div: case SbKind::Divu:
-    case SbKind::Rem: case SbKind::Remu: case SbKind::Mulw:
-    case SbKind::Divw: case SbKind::Divuw: case SbKind::Remw:
-    case SbKind::Remuw:
         return true;
     default:
         return false;
@@ -81,47 +33,11 @@ SbKind kind_for(Opcode op)
 {
     switch (op) {
     case Opcode::LUI: case Opcode::AUIPC: return SbKind::Const;
-    case Opcode::ADDI: return SbKind::Addi;
-    case Opcode::SLTI: return SbKind::Slti;
-    case Opcode::SLTIU: return SbKind::Sltiu;
-    case Opcode::XORI: return SbKind::Xori;
-    case Opcode::ORI: return SbKind::Ori;
-    case Opcode::ANDI: return SbKind::Andi;
-    case Opcode::SLLI: return SbKind::Slli;
-    case Opcode::SRLI: return SbKind::Srli;
-    case Opcode::SRAI: return SbKind::Srai;
-    case Opcode::ADDIW: return SbKind::Addiw;
-    case Opcode::SLLIW: return SbKind::Slliw;
-    case Opcode::SRLIW: return SbKind::Srliw;
-    case Opcode::SRAIW: return SbKind::Sraiw;
-    case Opcode::ADD: return SbKind::Add;
-    case Opcode::SUB: return SbKind::Sub;
-    case Opcode::SLL: return SbKind::Sll;
-    case Opcode::SLT: return SbKind::Slt;
-    case Opcode::SLTU: return SbKind::Sltu;
-    case Opcode::XOR: return SbKind::Xor;
-    case Opcode::SRL: return SbKind::Srl;
-    case Opcode::SRA: return SbKind::Sra;
-    case Opcode::OR: return SbKind::Or;
-    case Opcode::AND: return SbKind::And;
-    case Opcode::ADDW: return SbKind::Addw;
-    case Opcode::SUBW: return SbKind::Subw;
-    case Opcode::SLLW: return SbKind::Sllw;
-    case Opcode::SRLW: return SbKind::Srlw;
-    case Opcode::SRAW: return SbKind::Sraw;
-    case Opcode::MUL: return SbKind::Mul;
-    case Opcode::MULH: return SbKind::Mulh;
-    case Opcode::MULHSU: return SbKind::Mulhsu;
-    case Opcode::MULHU: return SbKind::Mulhu;
-    case Opcode::DIV: return SbKind::Div;
-    case Opcode::DIVU: return SbKind::Divu;
-    case Opcode::REM: return SbKind::Rem;
-    case Opcode::REMU: return SbKind::Remu;
-    case Opcode::MULW: return SbKind::Mulw;
-    case Opcode::DIVW: return SbKind::Divw;
-    case Opcode::DIVUW: return SbKind::Divuw;
-    case Opcode::REMW: return SbKind::Remw;
-    case Opcode::REMUW: return SbKind::Remuw;
+#define HWST_SB_KIND_OF(name, ...) \
+    case Opcode::name: return SbKind::name;
+    HWST_RV64IM_ALU_LIST(HWST_SB_KIND_OF)
+    HWST_RV64I_BRANCH_LIST(HWST_SB_KIND_OF)
+#undef HWST_SB_KIND_OF
     case Opcode::LB: return SbKind::Lb;
     case Opcode::LH: return SbKind::Lh;
     case Opcode::LW: return SbKind::Lw;
@@ -141,12 +57,6 @@ SbKind kind_for(Opcode op)
     // FENCE retires with no architectural effect (and srf_effects
     // exempts it), so its executor is the batched no-op.
     case Opcode::FENCE: return SbKind::Nop;
-    case Opcode::BEQ: return SbKind::Beq;
-    case Opcode::BNE: return SbKind::Bne;
-    case Opcode::BLT: return SbKind::Blt;
-    case Opcode::BGE: return SbKind::Bge;
-    case Opcode::BLTU: return SbKind::Bltu;
-    case Opcode::BGEU: return SbKind::Bgeu;
     case Opcode::JAL: return SbKind::Jal;
     case Opcode::JALR: return SbKind::Jalr;
     // CSR ops can read the cycle/instret counters, ecall/ebreak reach
@@ -231,9 +141,15 @@ Superblock* SuperblockCache::get_or_translate(const TranslateEnv& env,
         } else if (prev_load_rd != Reg::zero &&
                    ((u.reads_rs1 && in.rs1 == prev_load_rd) ||
                     (u.reads_rs2 && in.rs2 == prev_load_rd))) {
-            cum += env.load_use_stall;
+            cum += env.timing.load_use_stall;
         }
-        cum += 1 + static_cycle_extra(in.op, env);
+        // Static cost on top of the base cycle: the functional-unit
+        // extra, plus the always-taken penalty of unconditional jumps.
+        // Conditional-branch penalties, csr_extra, ecall_cost and
+        // D-cache extras stay dynamic.
+        cum += 1 + fu_extra(in.op, env.timing);
+        if (in.op == Opcode::JAL || in.op == Opcode::JALR)
+            cum += env.timing.branch_taken_penalty;
         op.cum_static = cum;
         ++(delta.*u.bucket);
         prev_load_rd = u.is_load ? in.rd : Reg::zero;
@@ -245,8 +161,9 @@ Superblock* SuperblockCache::get_or_translate(const TranslateEnv& env,
                          ? op.pc + static_cast<u64>(in.imm)
                          : static_cast<u64>(in.imm);
             break;
-        case SbKind::Beq: case SbKind::Bne: case SbKind::Blt:
-        case SbKind::Bge: case SbKind::Bltu: case SbKind::Bgeu:
+#define HWST_SB_BRANCH_CASE(name) case SbKind::name:
+        HWST_RV64I_BRANCH_LIST(HWST_SB_BRANCH_CASE)
+#undef HWST_SB_BRANCH_CASE
             op.imm = static_cast<i64>(op.pc + static_cast<u64>(in.imm));
             break;
         case SbKind::Jal:
@@ -280,7 +197,11 @@ Superblock* SuperblockCache::get_or_translate(const TranslateEnv& env,
         default:
             break;
         }
-        if (in.rd == Reg::zero && foldable_when_rd_zero(op.kind))
+        // With rd == x0, LUI/AUIPC and the folds_when_rd_zero ALU ops
+        // retire with no architectural effect beyond their (statically
+        // folded) cycle and mix contribution.
+        if (in.rd == Reg::zero &&
+            (op.kind == SbKind::Const || folds_when_rd_zero(in.op)))
             op.kind = SbKind::Nop;
 
         blk->ops.push_back(op);

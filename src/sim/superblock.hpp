@@ -23,6 +23,7 @@
 
 #include "common/bitops.hpp"
 #include "riscv/reg.hpp"
+#include "sim/rv64im.hpp"
 
 namespace hwst::sim {
 
@@ -37,34 +38,29 @@ struct InstrMix; // sim/machine.hpp
 
 /// Executor kinds. One label per entry in the dispatcher's computed-
 /// goto table; the X-macro keeps the enum and the label array in sync.
-/// Body kinds first, block enders last (Beq..EndFall).
+/// The RV64IM ALU ops and conditional branches come from rv64im.hpp and
+/// are named after their opcodes, so every consumer's X takes
+/// `(name, ...)`. Body kinds first, block enders last (BEQ..EndFall).
 #define HWST_SB_KIND_LIST(X)                                              \
     X(Nop)                                                                \
     X(Const)                                                              \
-    X(Addi) X(Slti) X(Sltiu) X(Xori) X(Ori) X(Andi)                       \
-    X(Slli) X(Srli) X(Srai)                                               \
-    X(Addiw) X(Slliw) X(Srliw) X(Sraiw)                                   \
-    X(Add) X(Sub)                                                         \
-    X(Sll) X(Slt) X(Sltu) X(Xor) X(Srl) X(Sra) X(Or) X(And)               \
-    X(Addw) X(Subw) X(Sllw) X(Srlw) X(Sraw)                               \
-    X(Mul) X(Mulh) X(Mulhsu) X(Mulhu) X(Div) X(Divu) X(Rem) X(Remu)       \
-    X(Mulw) X(Divw) X(Divuw) X(Remw) X(Remuw)                             \
+    HWST_RV64IM_ALU_LIST(X)                                               \
     X(Lb) X(Lh) X(Lw) X(Ld) X(Lbu) X(Lhu) X(Lwu)                          \
     X(Sb) X(Sh) X(Sw) X(Sd)                                               \
     X(CheckedLoad) X(CheckedStore)                                        \
     X(SbdStore) X(LbdLoad) X(Tchk) X(Bndr)                                \
     X(Hwst)                                                               \
-    X(Beq) X(Bne) X(Blt) X(Bge) X(Bltu) X(Bgeu)                           \
+    HWST_RV64I_BRANCH_LIST(X)                                             \
     X(Jal) X(Jalr) X(InterpOne) X(EndFall)
 
 enum class SbKind : u8 {
-#define HWST_SB_ENUM(name) name,
+#define HWST_SB_ENUM(name, ...) name,
     HWST_SB_KIND_LIST(HWST_SB_ENUM)
 #undef HWST_SB_ENUM
 };
 
 inline constexpr unsigned kNumSbKinds = 0
-#define HWST_SB_COUNT(name) +1
+#define HWST_SB_COUNT(name, ...) +1
     HWST_SB_KIND_LIST(HWST_SB_COUNT)
 #undef HWST_SB_COUNT
     ;
@@ -204,10 +200,7 @@ struct TranslateEnv {
     u64 text_base = 0;
     unsigned icache_line = 64;
     bool icache_on = true;
-    unsigned load_use_stall = 1;
-    unsigned mul_extra = 3;
-    unsigned div_extra = 24;
-    unsigned branch_taken_penalty = 3;
+    TimingConfig timing{};
     /// Computed-goto label table indexed by SbKind (null = leave labels
     /// unbound; only the threaded dispatcher needs them).
     const void* const* labels = nullptr;

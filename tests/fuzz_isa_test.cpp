@@ -1,6 +1,9 @@
 // Differential ISA fuzzing: random straight-line arithmetic programs
 // executed on the Machine are compared against a host-side evaluator
-// implementing the RV64 semantics independently. Catches executor and
+// implementing the RV64 semantics independently. Each program runs on
+// every execution tier — the interpreter, the superblock dispatcher and
+// the JIT with a hot threshold of 1, so straight-line code that runs
+// once still leaves from emitted code. Catches executor and
 // encoder/decoder bugs (the program is round-tripped through the wire
 // format before running, via the Machine's text image).
 #include <gtest/gtest.h>
@@ -37,6 +40,13 @@ u64 host_sext32(u64 v)
     return static_cast<u64>(static_cast<i64>(static_cast<i32>(v)));
 }
 
+u64 host_mulhu(u64 a, u64 b)
+{
+    return static_cast<u64>((static_cast<unsigned __int128>(a) *
+                             static_cast<unsigned __int128>(b)) >>
+                            64);
+}
+
 /// Independent RV64 ALU semantics (deliberately written separately from
 /// the Machine's switch).
 void host_exec(HostState& st, const Instruction& in)
@@ -44,6 +54,8 @@ void host_exec(HostState& st, const Instruction& in)
     const u64 a = st.get(in.rs1);
     const u64 b = st.get(in.rs2);
     const i64 sa = static_cast<i64>(a), sb = static_cast<i64>(b);
+    const i32 wa = static_cast<i32>(a), wb = static_cast<i32>(b);
+    const u32 a32 = static_cast<u32>(a), b32 = static_cast<u32>(b);
     const i64 imm = in.imm;
     switch (in.op) {
     case Opcode::ADDI: st.set(in.rd, a + static_cast<u64>(imm)); break;
@@ -66,11 +78,15 @@ void host_exec(HostState& st, const Instruction& in)
     case Opcode::OR: st.set(in.rd, a | b); break;
     case Opcode::AND: st.set(in.rd, a & b); break;
     case Opcode::MUL: st.set(in.rd, a * b); break;
-    case Opcode::MULHU:
-        st.set(in.rd,
-               static_cast<u64>((static_cast<unsigned __int128>(a) *
-                                 static_cast<unsigned __int128>(b)) >>
-                                64));
+    case Opcode::MULHU: st.set(in.rd, host_mulhu(a, b)); break;
+    // Signed high halves from the unsigned one: a negative operand x
+    // reads as x + 2^64 there, which adds the other operand to the high
+    // half once.
+    case Opcode::MULH:
+        st.set(in.rd, host_mulhu(a, b) - (sa < 0 ? b : 0) - (sb < 0 ? a : 0));
+        break;
+    case Opcode::MULHSU:
+        st.set(in.rd, host_mulhu(a, b) - (sa < 0 ? b : 0));
         break;
     case Opcode::DIV:
         if (sb == 0) st.set(in.rd, ~u64{0});
@@ -101,6 +117,23 @@ void host_exec(HostState& st, const Instruction& in)
                                             (b & 31))));
         break;
     case Opcode::MULW: st.set(in.rd, host_sext32(a * b)); break;
+    // 32-bit division through 64-bit host arithmetic: INT32_MIN / -1
+    // does not overflow there, and truncating its 2^31 quotient gives
+    // the RISC-V result.
+    case Opcode::DIVW:
+        st.set(in.rd, wb == 0 ? ~u64{0}
+                              : host_sext32(static_cast<u64>(i64{wa} / wb)));
+        break;
+    case Opcode::DIVUW:
+        st.set(in.rd, b32 == 0 ? ~u64{0} : host_sext32(a32 / b32));
+        break;
+    case Opcode::REMW:
+        st.set(in.rd, host_sext32(wb == 0 ? static_cast<u64>(wa)
+                                          : static_cast<u64>(i64{wa} % wb)));
+        break;
+    case Opcode::REMUW:
+        st.set(in.rd, host_sext32(b32 == 0 ? a32 : a32 % b32));
+        break;
     case Opcode::SLLIW: st.set(in.rd, host_sext32(a << (imm & 31))); break;
     case Opcode::SRLIW:
         st.set(in.rd, host_sext32(static_cast<u32>(a) >> (imm & 31)));
@@ -126,7 +159,9 @@ const std::vector<Opcode>& fuzz_opcodes()
         Opcode::MULHU, Opcode::DIV, Opcode::DIVU,  Opcode::REM,
         Opcode::REMU, Opcode::ADDIW, Opcode::ADDW, Opcode::SUBW,
         Opcode::SLLW, Opcode::SRLW, Opcode::SRAW,  Opcode::MULW,
-        Opcode::SLLIW, Opcode::SRLIW, Opcode::SRAIW,
+        Opcode::SLLIW, Opcode::SRLIW, Opcode::SRAIW, Opcode::MULH,
+        Opcode::MULHSU, Opcode::DIVW, Opcode::DIVUW, Opcode::REMW,
+        Opcode::REMUW,
     };
     return ops;
 }
@@ -215,10 +250,20 @@ TEST_P(IsaFuzz, MachineMatchesHostSemantics)
     p.emit(Instruction{Opcode::ECALL});
     p.finalize();
 
-    sim::Machine machine{p};
-    const auto r = machine.run();
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(static_cast<u64>(r.exit_code), expected);
+    for (const auto tier : {sim::ExecTier::Interp, sim::ExecTier::Dbt,
+                            sim::ExecTier::Jit}) {
+        SCOPED_TRACE(sim::tier_name(tier));
+        sim::MachineConfig cfg;
+        cfg.tier = tier;
+        cfg.jit_hot_threshold = 1;
+        sim::Machine machine{p, cfg};
+        const auto r = machine.run();
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(static_cast<u64>(r.exit_code), expected);
+        // A JIT-capable build must really have run emitted code.
+        if (machine.tier() == sim::ExecTier::Jit)
+            EXPECT_GT(machine.jit_stats().translated, 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IsaFuzz, ::testing::Range<u64>(0, 24));
