@@ -122,9 +122,8 @@ int main(int argc, char** argv)
         fault::Injector injector{fault::FaultPlan{{spec}}};
         sim::MachineConfig faulted_cfg = cp.machine_config;
         faulted_cfg.fuel = golden.instret * 4 + 100'000;
-        sim::Machine machine{cp.program, faulted_cfg};
-        injector.attach(machine);
-        const sim::RunResult faulted = machine.run();
+        const sim::RunResult faulted = fault::run_faulted(
+            cp.program, faulted_cfg, injector, exec::CancelToken{});
 
         print_run("golden ", golden);
         print_run("faulted", faulted);

@@ -2,10 +2,11 @@
 
 namespace hwst::exec {
 
-sim::RunResult run_machine(sim::Machine& machine, const CancelToken& token)
+sim::RunResult run_machine(sim::Machine& machine, const CancelToken& token,
+                           u64 pause_at)
 {
     auto result = machine.run_cancellable(
-        [&token] { return token.expired(); }, kCancelCheckStride);
+        [&token] { return token.expired(); }, kCancelCheckStride, pause_at);
     if (!result) {
         throw JobTimeout{"cancelled after " +
                          std::to_string(machine.instret()) +

@@ -19,7 +19,10 @@ namespace hwst::exec {
 inline constexpr u64 kCancelCheckStride = 4096;
 
 /// Run `machine` to completion or until `token` expires (JobTimeout).
-sim::RunResult run_machine(sim::Machine& machine, const CancelToken& token);
+/// With `pause_at`, return early once instret reaches it, the machine
+/// still running (sim::Machine::run_cancellable).
+sim::RunResult run_machine(sim::Machine& machine, const CancelToken& token,
+                           u64 pause_at = sim::kNoPause);
 
 /// Construct a Machine for the compiled program and run it cancellably.
 sim::RunResult run_program(const riscv::Program& program,

@@ -8,7 +8,6 @@
 #include "exec/engine.hpp"
 #include "exec/journal.hpp"
 #include "exec/shutdown.hpp"
-#include "exec/simrun.hpp"
 #include "workloads/workload.hpp"
 
 namespace hwst::fault {
@@ -250,13 +249,11 @@ CampaignReport run_campaign(const CampaignConfig& cfg)
             Injector injector{FaultPlan{{FaultPlan::random_spec(
                 point, g.run.instret, rng, cfg.mode)}}};
 
-            sim::Machine machine{g.cp.program, g.faulted_cfg};
-            injector.attach(machine);
-
             RunRecord rec;
             std::optional<sim::RunResult> faulted;
             try {
-                faulted = exec::run_machine(machine, ctx.token);
+                faulted = run_faulted(g.cp.program, g.faulted_cfg,
+                                      injector, ctx.token);
             } catch (const exec::JobTimeout&) {
                 // A shutdown expires the same token as a wall-clock
                 // timeout. Only the latter is a classification; a

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "exec/job.hpp"
 #include "fault/plan.hpp"
 
 namespace hwst::fault {
@@ -29,6 +30,14 @@ public:
     /// Install this injector on `m`. The injector must outlive the run.
     void attach(sim::Machine& m);
 
+    /// The earliest trigger of the plan (kNoPause when it is empty):
+    /// before it, perturb() returns every value unchanged.
+    u64 first_trigger() const;
+    /// True when every armed fault is a one-shot that has fired: from
+    /// then on perturb() returns every value unchanged. A stuck-at
+    /// fault is never spent.
+    bool spent() const;
+
     bool fired() const { return fires_ != 0; }
     u64 fires() const { return fires_; }
     u64 first_fire_instret() const { return first_fire_; }
@@ -49,5 +58,17 @@ private:
     u64 fires_ = 0;
     u64 first_fire_ = 0;
 };
+
+/// One faulted run: `program` under `cfg` with `injector`'s plan
+/// applied, cancellable through `token` (exec::JobTimeout). The hook is
+/// the identity outside the armed window, so only that window runs on
+/// the interpreter (docs/fault_injection.md "How a faulted run
+/// executes"): the fault-free prefix and the suffix after every fault
+/// is spent run on the Machine's resolved tier. The result is
+/// bit-identical to attaching the injector at instret 0 and running
+/// the whole program on the interpreter.
+sim::RunResult run_faulted(const riscv::Program& program,
+                           const sim::MachineConfig& cfg, Injector& injector,
+                           const exec::CancelToken& token);
 
 } // namespace hwst::fault

@@ -28,7 +28,7 @@ using mem::MemFault;
 using riscv::Reg;
 
 bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
-                     u64 stride, Trap& out)
+                     u64 stride, u64 limit, Trap& out)
 {
     // Label table, in SbKind order (the X-macro guarantees the match;
     // a missing body is a compile error).
@@ -51,7 +51,6 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
     };
     const u64 text_base = m.text_base_;
     const u64 code_bytes = m.code_bytes_;
-    const u64 fuel = m.cfg_.fuel;
     const unsigned icache_hit = m.cfg_.icache.hit_cycles;
     const unsigned dcache_hit = m.cfg_.dcache.hit_cycles;
     const unsigned lu_stall = m.cfg_.timing.load_use_stall;
@@ -120,7 +119,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
 // Transfer to the block at m.pc_ through a cached edge, staying inside
 // the dispatch soup. Bails to the outer loop for polls, untranslatable
 // targets (out of text / misaligned -> the outer loop raises the same
-// AccessFault step() would) and blocks that could cross the fuel limit.
+// AccessFault step() would) and blocks that could cross the limit.
 #define CHAIN(edge)                                                       \
     do {                                                                  \
         if (cancel && countdown == 0) goto leave_soup;                    \
@@ -131,7 +130,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             nx_ = sc.get_or_translate(env, m.pc_, st);                    \
             (edge) = nx_;                                                 \
         }                                                                 \
-        if (m.instret_ + nx_->len > fuel) goto leave_soup;                \
+        if (m.instret_ + nx_->len > limit) goto leave_soup;               \
         ++st.chained;                                                     \
         sb = nx_;                                                         \
         goto enter_block;                                                 \
@@ -187,9 +186,8 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             if ((*cancel)()) return false;
             countdown = stride;
         }
-        if (m.instret_ >= fuel) {
-            out = Trap{TrapKind::FuelExhausted, 0, m.pc_};
-            m.running_ = false;
+        if (m.instret_ >= limit) {
+            m.stop_at_limit(out);
             return true;
         }
         {
@@ -201,15 +199,14 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             }
         }
         sb = sc.get_or_translate(env, m.pc_, st);
-        if (m.instret_ + sb->len > fuel) {
-            // Fuel can run out inside this block: retire the tail one
+        if (m.instret_ + sb->len > limit) {
+            // The limit falls inside this block: retire the tail one
             // instruction at a time, with the interpreter's own
-            // check-then-step ordering. Bounded by fuel - instret_ <
+            // check-then-step ordering. Bounded by limit - instret_ <
             // block length.
             while (m.running_) {
-                if (m.instret_ >= fuel) {
-                    out = Trap{TrapKind::FuelExhausted, 0, m.pc_};
-                    m.running_ = false;
+                if (m.instret_ >= limit) {
+                    m.stop_at_limit(out);
                     return true;
                 }
                 const Trap t = m.step();

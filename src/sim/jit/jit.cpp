@@ -524,7 +524,7 @@ struct BlockEmitter {
     /// the end of the block so the fall-through hot path stays dense.
     std::vector<std::function<void()>> colds;
     int lab_exit;  ///< helper said exit: reason already in the context
-    int lab_leave; ///< poll/fuel bail: reason = kExitLeave
+    int lab_leave; ///< poll/limit bail: reason = kExitLeave
 
     /// Bit r set: SRF entry r is known-zero at the current emission
     /// point (cleared earlier in this block, on every path reaching
@@ -740,7 +740,7 @@ struct BlockEmitter {
         // Poll bail (the driver polls and resumes at m.pc_).
         a.alu_mi(ALU_CMP, R13, kCtxCountdown, 0);
         a.jcc(CC_E, lab_leave);
-        // Fuel guard: leave when instret > fuel - target_len. Starts at
+        // Limit guard: leave when instret > limit - target_len. Starts at
         // ~0 (never taken) so the unresolved site reaches its resolve
         // stub; the patch writes the real threshold.
         ChainSite s;
@@ -1011,7 +1011,7 @@ struct BlockEmitter {
         a.bind(Lw0);
         a.alu_mi(ALU_ADD, R15, moff(v.jalr_hits), 1);
         a.mov_rm(RAX, RSI, 16); // way[0]
-        a.mov_rm(RDX, RSI, 32); // aux[0] = fuel threshold
+        a.mov_rm(RDX, RSI, 32); // aux[0] = limit threshold
         a.test_rr(RAX, RAX);
         a.jcc(CC_E, stub(kExitJalrResolve, (sidx << 2) | 2 | 0));
         a.jmp(Lgo);
@@ -1418,16 +1418,16 @@ const u8* JitTier::compile(const Superblock& sb, JitStats& st)
     return nullptr;
 }
 
-void JitTier::patch_chain(u64 site, const u8* target_entry, u64 fuel,
+void JitTier::patch_chain(u64 site, const u8* target_entry, u64 limit,
                           u32 len, JitStats& st)
 {
     ChainSite& s = chain_sites_[site];
     if (s.patched) return;
     make_writable(s.thresh_off, s.jmp_off + 4 - s.thresh_off);
-    // Leave when instret > fuel - len <=> instret + len > fuel. The
-    // driver only patches after its own fuel check passed, so
-    // fuel >= len holds.
-    const u64 thresh = fuel - len;
+    // Leave when instret > limit - len <=> instret + len > limit. The
+    // driver only patches after its own limit check passed, so
+    // limit >= len holds.
+    const u64 thresh = limit - len;
     std::memcpy(code_rw(s.thresh_off), &thresh, 8);
     const i64 rel = static_cast<i64>(target_entry - region_) -
                     static_cast<i64>(s.jmp_off + 4);
@@ -1439,10 +1439,10 @@ void JitTier::patch_chain(u64 site, const u8* target_entry, u64 fuel,
 }
 
 void JitTier::patch_jalr(u64 site, unsigned way, const u8* target_entry,
-                         u64 fuel, u32 len, JitStats& st)
+                         u64 limit, u32 len, JitStats& st)
 {
     JalrCache2<const void*>& jc = jalr_sites_[site];
-    jc.aux[way] = fuel - len;
+    jc.aux[way] = limit - len;
     jc.way[way] = target_entry;
     ++st.chain_patches;
 }

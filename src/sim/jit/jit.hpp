@@ -66,7 +66,7 @@ using common::u8;
 /// Why emitted code returned to the driver loop (sim/jit/runtime.cpp).
 enum ExitReason : u32 {
     kExitNone = 0,
-    /// Back to the driver's outer loop: poll/fuel bail at a chain site,
+    /// Back to the driver's outer loop: poll/limit bail at a chain site,
     /// or an interp-one ender completed. m.pc_ is the resume point.
     kExitLeave = 1,
     /// A block-to-block chain site whose target is not yet compiled.
@@ -102,7 +102,7 @@ struct JitContext {
     void* machine = nullptr;///< -> r15 (the Machine, for helper calls)
 };
 
-/// One block-to-block chain site inside emitted code: the imm64 fuel
+/// One block-to-block chain site inside emitted code: the imm64 limit
 /// threshold and the rel32 of the direct jump, both patched when the
 /// target block is compiled (offsets are region-absolute).
 struct ChainSite {
@@ -138,14 +138,26 @@ public:
     /// patch sites, re-emit the entry thunk. Bumps generation().
     void drop_code(JitStats& st);
 
+    /// Bound the run at `limit` instructions (fuel, or a pause point
+    /// below it). Patched chain and jalr sites bake limit - len, so when
+    /// the limit moves the code baked against the old one is dropped:
+    /// kept, it would run past a lower limit or bail on every edge
+    /// under a higher one.
+    void set_limit(u64 limit, JitStats& st)
+    {
+        if (limit == limit_) return;
+        limit_ = limit;
+        if (cursor_ > thunk_bytes_) drop_code(st);
+    }
+
     /// Patch a chain site to jump straight to `target_entry`, guarded
-    /// by the real fuel threshold for a `len`-instruction target block.
-    void patch_chain(u64 site, const u8* target_entry, u64 fuel, u32 len,
+    /// by the real limit threshold for a `len`-instruction target block.
+    void patch_chain(u64 site, const u8* target_entry, u64 limit, u32 len,
                      JitStats& st);
     /// Resolve a jalr inline-cache way to `target_entry` (aux carries
-    /// the fuel threshold the emitted probe compares against).
+    /// the limit threshold the emitted probe compares against).
     void patch_jalr(u64 site, unsigned way, const u8* target_entry,
-                    u64 fuel, u32 len, JitStats& st);
+                    u64 limit, u32 len, JitStats& st);
 
     JalrCache2<const void*>& jalr_site(u64 i) { return jalr_sites_[i]; }
 
@@ -207,6 +219,7 @@ private:
     u64 thunk_bytes_ = 0;  ///< cursor after the thunk + shared runtime
     u64 epilogue_off_ = 0; ///< region offset of the shared epilogue
     u64 generation_ = 0;
+    u64 limit_ = ~u64{0}; ///< the limit patched sites are baked against
     RtOffsets rt_;
 
     std::unordered_map<const Superblock*, BlockRec> records_;
@@ -218,7 +231,7 @@ private:
 
 /// Tier-2 driver loop; same contract as run_superblocks.
 bool run_jit(Machine& m, const std::function<bool()>* cancel, u64 stride,
-             hwst::Trap& out);
+             u64 limit, hwst::Trap& out);
 
 /// True when this build/host can execute emitted x86-64 code.
 bool jit_supported();

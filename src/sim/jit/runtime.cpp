@@ -1,7 +1,7 @@
 // Tier-2 JIT driver loop (jit.hpp): the outer loop the emitted code
 // exits back into. It mirrors run_superblocks (sim/dispatch.cpp)
-// decision-for-decision — poll, fuel, pc validation, interp tail when
-// fuel can run out inside a block — and adds the tier-2-only concerns:
+// decision-for-decision — poll, limit, pc validation, interp tail when
+// the limit falls inside a block — and adds the tier-2-only concerns:
 // the hotness ladder (cold blocks run through step() until
 // jit_hot_threshold), compile-on-hot, and lazy resolution of chain /
 // jalr sites. A site is patched only when its target block is about to
@@ -22,7 +22,7 @@ bool jit_supported()
 }
 
 bool run_jit(Machine& m, const std::function<bool()>* cancel, u64 stride,
-             Trap& out)
+             u64 limit, Trap& out)
 {
     if (!m.jit_) m.jit_ = std::make_unique<JitTier>(m);
     JitTier& jt = *m.jit_;
@@ -34,7 +34,7 @@ bool run_jit(Machine& m, const std::function<bool()>* cancel, u64 stride,
         // retranslates with its label table.
         m.tier_ = ExecTier::Dbt;
         m.sbcache_->flush(m.dbt_stats_);
-        return run_superblocks(m, cancel, stride, out);
+        return run_superblocks(m, cancel, stride, limit, out);
     }
 
     SuperblockCache& sc = *m.sbcache_;
@@ -51,8 +51,8 @@ bool run_jit(Machine& m, const std::function<bool()>* cancel, u64 stride,
     };
     const u64 text_base = m.text_base_;
     const u64 code_bytes = m.code_bytes_;
-    const u64 fuel = m.cfg_.fuel;
     const u32 hot = m.cfg_.jit_hot_threshold;
+    jt.set_limit(limit, jst);
 
     JitContext& ctx = jt.ctx;
     ctx.regs = m.regs_.data();
@@ -105,9 +105,8 @@ bool run_jit(Machine& m, const std::function<bool()>* cancel, u64 stride,
                 ctx.countdown = ~u64{0};
             }
         }
-        if (m.instret_ >= fuel) {
-            out = Trap{TrapKind::FuelExhausted, 0, m.pc_};
-            m.running_ = false;
+        if (m.instret_ >= limit) {
+            m.stop_at_limit(out);
             return true;
         }
         {
@@ -119,14 +118,13 @@ bool run_jit(Machine& m, const std::function<bool()>* cancel, u64 stride,
             }
         }
         Superblock* sb = sc.get_or_translate(env, m.pc_, st);
-        if (m.instret_ + sb->len > fuel) {
-            // Fuel can run out inside this block: retire the tail one
+        if (m.instret_ + sb->len > limit) {
+            // The limit falls inside this block: retire the tail one
             // instruction at a time (same as the dispatcher).
             pend.kind = Pending::None;
             while (m.running_) {
-                if (m.instret_ >= fuel) {
-                    out = Trap{TrapKind::FuelExhausted, 0, m.pc_};
-                    m.running_ = false;
+                if (m.instret_ >= limit) {
+                    m.stop_at_limit(out);
                     return true;
                 }
                 const Trap t = m.step();
@@ -159,12 +157,12 @@ bool run_jit(Machine& m, const std::function<bool()>* cancel, u64 stride,
         }
 
         if (pend.kind != Pending::None && pend.gen == jt.generation()) {
-            // The driver proved instret + len <= fuel above, so the
-            // baked threshold fuel - len is well-defined.
+            // The driver proved instret + len <= limit above, so the
+            // baked threshold limit - len is well-defined.
             if (pend.kind == Pending::Edge)
-                jt.patch_chain(pend.site, entry, fuel, sb->len, jst);
+                jt.patch_chain(pend.site, entry, limit, sb->len, jst);
             else
-                jt.patch_jalr(pend.site, pend.way, entry, fuel, sb->len,
+                jt.patch_jalr(pend.site, pend.way, entry, limit, sb->len,
                               jst);
         }
         pend.kind = Pending::None;
@@ -176,7 +174,7 @@ bool run_jit(Machine& m, const std::function<bool()>* cancel, u64 stride,
 
         switch (ctx.exit_reason) {
         case kExitLeave:
-            break; // poll/fuel bail or interp-one: resume at m.pc_
+            break; // poll/limit bail or interp-one: resume at m.pc_
         case kExitResolve:
             pend = {Pending::Edge, ctx.exit_payload, 0, jt.generation()};
             break;

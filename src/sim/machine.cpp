@@ -1,5 +1,6 @@
 #include "sim/machine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -658,7 +659,7 @@ RunResult Machine::run()
 }
 
 std::optional<RunResult> Machine::run_cancellable(
-    const std::function<bool()>& cancel, u64 stride)
+    const std::function<bool()>& cancel, u64 stride, u64 pause_at)
 {
     RunResult result;
     // Countdown poll: one decrement per step instead of re-deriving the
@@ -666,6 +667,9 @@ std::optional<RunResult> Machine::run_cancellable(
     // (every `stride` loop iterations), and an uncancelled run is
     // bit-identical either way.
     if (stride == 0) stride = 1;
+    // Every tier compares against one bound where it used to compare
+    // against fuel, so a pause costs the hot loops nothing.
+    const u64 limit = std::min(cfg_.fuel, pause_at);
     if (tier_ != ExecTier::Interp && !interpreter_forced() && !trace_ &&
         !probe_hook_) {
         // Translated tiers (sim/dispatch.cpp, sim/jit/). Cancellation
@@ -677,9 +681,9 @@ std::optional<RunResult> Machine::run_cancellable(
         const bool finished =
             tier_ == ExecTier::Jit
                 ? jit::run_jit(*this, cancel ? &cancel : nullptr, stride,
-                               result.trap)
+                               limit, result.trap)
                 : run_superblocks(*this, cancel ? &cancel : nullptr,
-                                  stride, result.trap);
+                                  stride, limit, result.trap);
         in_dispatch_ = false;
         if (!finished) return std::nullopt;
         // Test-only divergence seed for the DBT sentinel: nudge the
@@ -701,9 +705,8 @@ std::optional<RunResult> Machine::run_cancellable(
                 if (cancel()) return std::nullopt;
                 countdown = stride;
             }
-            if (instret_ >= cfg_.fuel) {
-                result.trap = Trap{TrapKind::FuelExhausted, 0, pc_};
-                running_ = false;
+            if (instret_ >= limit) {
+                stop_at_limit(result.trap);
                 break;
             }
             const Trap trap = step();

@@ -169,10 +169,13 @@ inline constexpr unsigned kNumProbes = 8;
 
 class Machine;
 
+/// run_cancellable's `pause_at` when the run should not pause.
+inline constexpr u64 kNoPause = ~u64{0};
+
 /// Superblock-tier dispatcher (sim/dispatch.cpp); a friend of Machine
 /// so the executor bodies can touch the interpreter's state directly.
 bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
-                     u64 stride, hwst::Trap& out);
+                     u64 stride, u64 limit, hwst::Trap& out);
 
 namespace jit {
 class JitTier;  // sim/jit/jit.hpp: per-Machine code cache + compiler
@@ -180,7 +183,7 @@ struct JitOps;  // sim/jit/jit.cpp: helper call-outs for emitted code
 /// Tier-2 driver loop (sim/jit/runtime.cpp); same contract as
 /// run_superblocks.
 bool run_jit(Machine& m, const std::function<bool()>* cancel, u64 stride,
-             hwst::Trap& out);
+             u64 limit, hwst::Trap& out);
 /// True when this build/host can execute emitted x86-64 code (plain
 /// x86-64 builds; sanitizer builds pin the ladder to the dispatcher).
 bool jit_supported();
@@ -232,8 +235,15 @@ public:
     /// instructions and returns std::nullopt when it fires (the machine
     /// state stays inspectable). Execution is otherwise identical to
     /// run(): an uncancelled run produces the exact same RunResult.
+    ///
+    /// The run also pauses once instret() reaches `pause_at`, exactly,
+    /// on every tier: it returns a snapshot with running() still true,
+    /// and the next call resumes. A run paused any number of times ends
+    /// bit-identical to an unpaused one. Fuel exhaustion at the same
+    /// count ends the run instead.
     std::optional<RunResult> run_cancellable(
-        const std::function<bool()>& cancel, u64 stride = 4096);
+        const std::function<bool()>& cancel, u64 stride = 4096,
+        u64 pause_at = kNoPause);
 
     /// Execute one instruction. Returns a trap (kind None = keep going).
     hwst::Trap step();
@@ -298,15 +308,25 @@ public:
 
 private:
     friend bool run_superblocks(Machine&, const std::function<bool()>*,
-                                u64, hwst::Trap&);
+                                u64, u64, hwst::Trap&);
     friend class jit::JitTier;
     friend struct jit::JitOps;
     friend bool jit::run_jit(Machine&, const std::function<bool()>*, u64,
-                             hwst::Trap&);
+                             u64, hwst::Trap&);
     hwst::Trap exec(const riscv::Instruction& in, u64& next_pc);
     hwst::Trap exec_hwst(const riscv::Instruction& in);
     hwst::Trap exec_ecall();
     void srf_effects(const riscv::Instruction& in, riscv::Format fmt);
+
+    /// A driver loop reached its instruction `limit` (fuel or a pause,
+    /// whichever is lower): out of fuel, the run ends with FuelExhausted
+    /// in `out`; at a pause it stays running.
+    void stop_at_limit(hwst::Trap& out)
+    {
+        if (instret_ < cfg_.fuel) return;
+        out = hwst::Trap{hwst::TrapKind::FuelExhausted, 0, pc_};
+        running_ = false;
+    }
 
     /// Drop all JIT-compiled code (out of line: JitTier is incomplete
     /// here). No-op when the JIT tier was never entered.

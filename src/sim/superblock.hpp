@@ -85,7 +85,7 @@ struct Superblock;
 /// `Payload = Superblock*`, the template JIT keeps per-site instances
 /// in its arena with `Payload = const void*` (native entry points) and
 /// bakes the member addresses straight into the emitted probe. `aux`
-/// is tier-private (the JIT stores the chain fuel threshold there).
+/// is tier-private (the JIT stores the chain limit threshold there).
 /// Replacement is round-robin: with only two ways, LRU and round-robin
 /// differ only when the same way hits twice in a row, where the victim
 /// choice is irrelevant — and round-robin keeps the probe branch-free
@@ -174,7 +174,7 @@ struct DbtStats {
     u64 flushes = 0;       ///< block-cache invalidations (map_region)
     u64 jalr_hits = 0;     ///< jalr 2-way inline-cache hits (both tiers)
     u64 jalr_misses = 0;   ///< jalr inline-cache misses (way refilled)
-    u64 fallback_runs = 0; ///< runs forced onto the interpreter by hooks
+    u64 fallback_runs = 0; ///< run calls forced onto the interpreter by hooks
     /// Runs forced onto the interpreter by sim::force_interpreter() —
     /// the DBT divergence sentinel's graceful-degradation path.
     u64 sentinel_degraded = 0;

@@ -1,17 +1,23 @@
 // Tests of the metadata fault-injection engine (src/fault/) and the
 // graceful-degradation paths it exercises: the injector's trigger
-// semantics, the trap-or-survive oracle, saturating metadata
+// semantics, the trap-or-survive oracle, the segmented faulted runner
+// against a whole-run interpreter reference, saturating metadata
 // compression at machine level, and a small deterministic campaign.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <functional>
 #include <sstream>
 
+#include "compiler/driver.hpp"
 #include "fault/campaign.hpp"
 #include "riscv/program.hpp"
 #include "sim/machine.hpp"
 #include "sim/syscalls.hpp"
+#include "workloads/workload.hpp"
+
+#include "run_result_eq.hpp"
 
 namespace {
 
@@ -95,6 +101,28 @@ TEST(Injector, RandomSpecIsDeterministicAndBounded)
         EXPECT_GE(bits, 1);
         EXPECT_LE(bits, 2);
     }
+}
+
+TEST(Injector, FirstTriggerAndSpent)
+{
+    fault::Injector none{fault::FaultPlan{}};
+    EXPECT_EQ(none.first_trigger(), sim::kNoPause);
+    EXPECT_TRUE(none.spent());
+
+    fault::Injector two{fault::FaultPlan{
+        {fault::FaultSpec{Probe::LmsmLoad, fault::FaultMode::OneShot, 9, 1},
+         fault::FaultSpec{Probe::LmsmStore, fault::FaultMode::OneShot, 4,
+                          1}}}};
+    EXPECT_EQ(two.first_trigger(), 4u);
+    two.perturb(Probe::LmsmStore, 5, 0);
+    EXPECT_FALSE(two.spent());
+    two.perturb(Probe::LmsmLoad, 9, 0);
+    EXPECT_TRUE(two.spent());
+
+    fault::Injector stuck{fault::FaultPlan::single(
+        Probe::LmsmLoad, fault::FaultMode::StuckAt, 3, 1)};
+    stuck.perturb(Probe::LmsmLoad, 3, 0);
+    EXPECT_FALSE(stuck.spent());
 }
 
 // ------------------------------------------------------------------ oracle
@@ -291,6 +319,100 @@ TEST(GracefulDegradation, DoubleLockFreeAborts)
     Machine m{b.program};
     const auto r = m.run();
     EXPECT_EQ(r.trap.kind, TrapKind::LibcAbort);
+}
+
+// --------------------------------------------------------- faulted runner
+
+/// The whole-run reference: the injector attached at instret 0 and
+/// every instruction on the interpreter (the hook pins it there).
+sim::RunResult reference_run(const Program& program,
+                             const sim::MachineConfig& cfg,
+                             fault::Injector& injector)
+{
+    Machine m{program, cfg};
+    injector.attach(m);
+    return m.run();
+}
+
+/// Run `plan` segmented and whole-run; returns the reference's first
+/// fire instret (0 = never fired).
+u64 expect_same_faulted_run(const Program& program,
+                            const sim::MachineConfig& cfg,
+                            const sim::RunResult& golden,
+                            const fault::FaultPlan& plan)
+{
+    fault::Injector seg{plan}, ref{plan};
+    const sim::RunResult a =
+        fault::run_faulted(program, cfg, seg, hwst::exec::CancelToken{});
+    const sim::RunResult b = reference_run(program, cfg, ref);
+    hwst::test::expect_bit_equal(a, b);
+    const fault::Outcome oa = fault::classify(golden, a, seg);
+    const fault::Outcome ob = fault::classify(golden, b, ref);
+    EXPECT_EQ(oa.verdict, ob.verdict);
+    EXPECT_EQ(oa.trap.kind, ob.trap.kind);
+    EXPECT_EQ(oa.fired, ob.fired);
+    EXPECT_EQ(oa.injected_at, ob.injected_at);
+    EXPECT_EQ(oa.ended_at, ob.ended_at);
+    EXPECT_EQ(seg.fires(), ref.fires());
+    EXPECT_EQ(seg.first_fire_instret(), ref.first_fire_instret());
+    EXPECT_EQ(seg.log().size(), ref.log().size());
+    for (std::size_t i = 0;
+         i < std::min(seg.log().size(), ref.log().size()); ++i) {
+        EXPECT_EQ(seg.log()[i].point, ref.log()[i].point);
+        EXPECT_EQ(seg.log()[i].instret, ref.log()[i].instret);
+        EXPECT_EQ(seg.log()[i].before, ref.log()[i].before);
+        EXPECT_EQ(seg.log()[i].after, ref.log()[i].after);
+    }
+    return ref.fired() ? ref.first_fire_instret() : 0;
+}
+
+// run_faulted runs only the armed window on the interpreter; every
+// probe, both modes, the earliest, a middle and the latest trigger, a
+// trigger on the very instruction that exercises the datapath (the
+// prefix must stop one short of it) and a two-fault plan must match the
+// whole-run reference in the RunResult, the oracle's outcome and the
+// injector's fire record.
+TEST(FaultedRun, SegmentedRunMatchesWholeRunInterpreter)
+{
+    for (const char* name : {"crc32", "treeadd"}) {
+        const auto cp = hwst::compiler::compile(
+            hwst::workloads::workload(name).build(),
+            hwst::compiler::Scheme::Hwst128Tchk);
+        const sim::RunResult golden =
+            Machine{cp.program, cp.machine_config}.run();
+        ASSERT_TRUE(golden.ok());
+        sim::MachineConfig cfg = cp.machine_config;
+        cfg.fuel = golden.instret * 4 + 100'000;
+
+        for (const Probe point : fault::all_probes()) {
+            for (const auto mode :
+                 {fault::FaultMode::OneShot, fault::FaultMode::StuckAt}) {
+                std::vector<u64> triggers{1, golden.instret / 2,
+                                          golden.instret};
+                for (std::size_t i = 0; i < triggers.size(); ++i) {
+                    const auto plan = fault::FaultPlan::single(
+                        point, mode, triggers[i], u64{1} << 3);
+                    SCOPED_TRACE(std::string{name} + " " +
+                                 plan.faults[0].describe());
+                    const u64 fired_at =
+                        expect_same_faulted_run(cp.program, cfg, golden, plan);
+                    if (i == 1 && fired_at > triggers[i])
+                        triggers.push_back(fired_at);
+                }
+            }
+        }
+        // Two one-shots: the window spans both, from the earlier trigger
+        // until the later fault has fired too.
+        SCOPED_TRACE(std::string{name} + " two faults");
+        expect_same_faulted_run(
+            cp.program, cfg, golden,
+            fault::FaultPlan{
+                {fault::FaultSpec{Probe::LmsmLoad, fault::FaultMode::OneShot,
+                                  golden.instret / 2, u64{1} << 40},
+                 fault::FaultSpec{Probe::SrfSpatialWrite,
+                                  fault::FaultMode::OneShot,
+                                  golden.instret / 3, u64{1} << 2}}});
+    }
 }
 
 // ---------------------------------------------------------------- campaign

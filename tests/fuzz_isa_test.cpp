@@ -48,8 +48,8 @@ u64 host_mulhu(u64 a, u64 b)
 }
 
 /// Independent RV64 ALU semantics (deliberately written separately from
-/// the Machine's switch).
-void host_exec(HostState& st, const Instruction& in)
+/// the Machine's switch). `pc` is the instruction's own address.
+void host_exec(HostState& st, const Instruction& in, u64 pc)
 {
     const u64 a = st.get(in.rs1);
     const u64 b = st.get(in.rs2);
@@ -57,7 +57,13 @@ void host_exec(HostState& st, const Instruction& in)
     const i32 wa = static_cast<i32>(a), wb = static_cast<i32>(b);
     const u32 a32 = static_cast<u32>(a), b32 = static_cast<u32>(b);
     const i64 imm = in.imm;
+    // U-type: the 20-bit field fills bits 31:12, sign-extended from bit
+    // 31 (AUIPC adds that to its own pc).
+    const u64 upper =
+        host_sext32((static_cast<u64>(imm) >> 12 & 0xFFFFF) << 12);
     switch (in.op) {
+    case Opcode::LUI: st.set(in.rd, upper); break;
+    case Opcode::AUIPC: st.set(in.rd, pc + upper); break;
     case Opcode::ADDI: st.set(in.rd, a + static_cast<u64>(imm)); break;
     case Opcode::XORI: st.set(in.rd, a ^ static_cast<u64>(imm)); break;
     case Opcode::ORI: st.set(in.rd, a | static_cast<u64>(imm)); break;
@@ -161,7 +167,7 @@ const std::vector<Opcode>& fuzz_opcodes()
         Opcode::SLLW, Opcode::SRLW, Opcode::SRAW,  Opcode::MULW,
         Opcode::SLLIW, Opcode::SRLIW, Opcode::SRAIW, Opcode::MULH,
         Opcode::MULHSU, Opcode::DIVW, Opcode::DIVUW, Opcode::REMW,
-        Opcode::REMUW,
+        Opcode::REMUW, Opcode::LUI, Opcode::AUIPC,
     };
     return ops;
 }
@@ -203,6 +209,30 @@ TEST_P(IsaFuzz, MachineMatchesHostSemantics)
         ++si;
     }
 
+    // acc = fold(acc ^ r) for each r, where fold(x) = x ^ (x << 1) is a
+    // bijection: a change to any one folded register reaches acc. a1 is
+    // scratch; neither it nor acc is a fuzz register.
+    const auto fold_into = [&](Reg acc, u64& expected,
+                               std::initializer_list<Reg> regs) {
+        for (const Reg r : regs) {
+            p.emit(rtype(Opcode::XOR, acc, acc, r));
+            p.emit(itype(Opcode::SLLI, Reg::a1, acc, 1));
+            p.emit(rtype(Opcode::XOR, acc, acc, Reg::a1));
+            expected ^= host.get(r);
+            const u64 shifted = expected << 1;
+            expected ^= shifted;
+        }
+    };
+    // The seeds come from emit_li's LUI/ADDIW/SLLI/ADDI sequences, and
+    // the random body overwrites most of them: fold them into s5 now so
+    // their values reach the exit code.
+    p.emit_li(Reg::s5, 0);
+    u64 seed_fold = 0;
+    fold_into(Reg::s5, seed_fold,
+              {Reg::t0, Reg::t1, Reg::t2, Reg::t3, Reg::t4, Reg::t5,
+               Reg::t6, Reg::s2});
+    host.set(Reg::s5, seed_fold);
+
     std::vector<Instruction> body;
     for (int k = 0; k < 200; ++k) {
         const Opcode op =
@@ -225,27 +255,27 @@ TEST_P(IsaFuzz, MachineMatchesHostSemantics)
             in.rs2 = Reg::zero;
             in.imm = static_cast<i64>(rng.below(32));
             break;
+        case Format::U:
+            in.rs1 = in.rs2 = Reg::zero;
+            in.imm = static_cast<i64>(static_cast<i32>(
+                static_cast<u32>(rng.below(u64{1} << 20) << 12)));
+            break;
         default:
             break;
         }
         body.push_back(in);
+        const u64 pc = p.text_addr(p.code().size());
         p.emit(in);
-        host_exec(host, in);
+        host_exec(host, in, pc);
     }
 
-    // Fold every work register into a0 for comparison.
+    // Fold every work register and the seed fold into a0 for comparison.
     p.emit_li(Reg::a0, 0);
     u64 expected = 0;
-    for (const Reg r : {Reg::t0, Reg::t1, Reg::t2, Reg::t3, Reg::t4,
-                        Reg::t5, Reg::t6, Reg::s2, Reg::s3, Reg::s4,
-                        Reg::a2, Reg::a3, Reg::a4, Reg::a5}) {
-        p.emit(rtype(Opcode::XOR, Reg::a0, Reg::a0, r));
-        p.emit(itype(Opcode::SLLI, Reg::a1, Reg::a0, 1));
-        p.emit(rtype(Opcode::XOR, Reg::a0, Reg::a0, Reg::a1));
-        expected ^= host.get(r);
-        const u64 shifted = expected << 1;
-        expected ^= shifted;
-    }
+    fold_into(Reg::a0, expected,
+              {Reg::t0, Reg::t1, Reg::t2, Reg::t3, Reg::t4, Reg::t5,
+               Reg::t6, Reg::s2, Reg::s3, Reg::s4, Reg::a2, Reg::a3,
+               Reg::a4, Reg::a5, Reg::s5});
     p.emit_li(Reg::a7, static_cast<i64>(sim::Sys::Exit));
     p.emit(Instruction{Opcode::ECALL});
     p.finalize();

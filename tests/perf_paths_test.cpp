@@ -16,6 +16,8 @@
 #include "sim/machine.hpp"
 #include "workloads/workload.hpp"
 
+#include "run_result_eq.hpp"
+
 namespace {
 
 using namespace hwst::riscv;
@@ -25,6 +27,7 @@ using hwst::common::i64;
 using hwst::common::u64;
 using hwst::common::u8;
 using hwst::common::Xoshiro256;
+using hwst::test::expect_bit_equal;
 
 // ---- Memory translation cache ----------------------------------------
 
@@ -284,22 +287,6 @@ TEST(Predecode, FactsMatchPerOpcodeRederivation)
 
 // ---- whole-machine equivalence ---------------------------------------
 
-void expect_same_result(const sim::RunResult& a, const sim::RunResult& b)
-{
-    EXPECT_EQ(a.trap.kind, b.trap.kind);
-    EXPECT_EQ(a.exit_code, b.exit_code);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instret, b.instret);
-    EXPECT_EQ(a.output, b.output);
-    EXPECT_EQ(a.dcache.accesses, b.dcache.accesses);
-    EXPECT_EQ(a.dcache.misses, b.dcache.misses);
-    EXPECT_EQ(a.icache.accesses, b.icache.accesses);
-    EXPECT_EQ(a.icache.misses, b.icache.misses);
-    EXPECT_EQ(a.scu_checks, b.scu_checks);
-    EXPECT_EQ(a.tcu_checks, b.tcu_checks);
-    EXPECT_TRUE(mix_equal(a.mix, b.mix));
-}
-
 TEST(Predecode, StepLoopMatchesRunOnRealWorkload)
 {
     const auto& w = hwst::workloads::all_workloads().front();
@@ -338,14 +325,14 @@ TEST(RunCancellable, UncancelledRunIsBitIdentical)
     const auto maybe =
         polled.run_cancellable([] { return false; }, /*stride=*/37);
     ASSERT_TRUE(maybe.has_value());
-    expect_same_result(*maybe, r);
+    expect_bit_equal(*maybe, r);
 
     // stride 0 must behave as stride 1, not divide by zero or hang.
     sim::Machine stride0{cp.program, cp.machine_config};
     const auto maybe0 =
         stride0.run_cancellable([] { return false; }, /*stride=*/0);
     ASSERT_TRUE(maybe0.has_value());
-    expect_same_result(*maybe0, r);
+    expect_bit_equal(*maybe0, r);
 }
 
 TEST(RunCancellable, CancellationStillFires)

@@ -31,6 +31,8 @@
 #include "sim/syscalls.hpp"
 #include "workloads/workload.hpp"
 
+#include "run_result_eq.hpp"
+
 namespace {
 
 using namespace hwst::riscv;
@@ -38,6 +40,7 @@ namespace sim = hwst::sim;
 using hwst::common::i64;
 using hwst::common::u64;
 using hwst::common::Xoshiro256;
+using hwst::test::expect_bit_equal;
 
 constexpr auto kInterp = sim::ExecTier::Interp;
 constexpr auto kDbt = sim::ExecTier::Dbt;
@@ -47,41 +50,6 @@ sim::MachineConfig with_tier(sim::MachineConfig cfg, sim::ExecTier t)
 {
     cfg.tier = t;
     return cfg;
-}
-
-void expect_bit_equal(const sim::RunResult& a, const sim::RunResult& b)
-{
-    EXPECT_EQ(a.trap.kind, b.trap.kind);
-    EXPECT_EQ(a.trap.addr, b.trap.addr);
-    EXPECT_EQ(a.trap.pc, b.trap.pc);
-    EXPECT_EQ(a.exit_code, b.exit_code);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instret, b.instret);
-    EXPECT_EQ(a.output, b.output);
-    EXPECT_EQ(a.dcache.accesses, b.dcache.accesses);
-    EXPECT_EQ(a.dcache.misses, b.dcache.misses);
-    EXPECT_EQ(a.icache.accesses, b.icache.accesses);
-    EXPECT_EQ(a.icache.misses, b.icache.misses);
-    EXPECT_EQ(a.keybuffer.lookups, b.keybuffer.lookups);
-    EXPECT_EQ(a.keybuffer.hits, b.keybuffer.hits);
-    EXPECT_EQ(a.keybuffer.flushes, b.keybuffer.flushes);
-    EXPECT_EQ(a.scu_checks, b.scu_checks);
-    EXPECT_EQ(a.tcu_checks, b.tcu_checks);
-    EXPECT_EQ(a.scu_saturated, b.scu_saturated);
-    EXPECT_EQ(a.tcu_saturated, b.tcu_saturated);
-    EXPECT_EQ(a.smac_translations, b.smac_translations);
-    EXPECT_EQ(a.mix.alu, b.mix.alu);
-    EXPECT_EQ(a.mix.loads, b.mix.loads);
-    EXPECT_EQ(a.mix.stores, b.mix.stores);
-    EXPECT_EQ(a.mix.checked_loads, b.mix.checked_loads);
-    EXPECT_EQ(a.mix.checked_stores, b.mix.checked_stores);
-    EXPECT_EQ(a.mix.meta_moves, b.mix.meta_moves);
-    EXPECT_EQ(a.mix.binds, b.mix.binds);
-    EXPECT_EQ(a.mix.tchk, b.mix.tchk);
-    EXPECT_EQ(a.mix.branches, b.mix.branches);
-    EXPECT_EQ(a.mix.jumps, b.mix.jumps);
-    EXPECT_EQ(a.mix.ecalls, b.mix.ecalls);
-    EXPECT_EQ(a.mix.other, b.mix.other);
 }
 
 // ---- randomized program generator ------------------------------------
@@ -711,6 +679,118 @@ TEST(TierTrapParity, ZeroStoreIntoLockRegionFlushesKeybuffer)
         EXPECT_EQ(r.trap.kind, v.expect);
         EXPECT_EQ(r.tcu_checks, 2u);
         EXPECT_EQ(r.keybuffer.flushes, v.value == Reg::zero ? 1u : 0u);
+    }
+}
+
+// ---- exact pause points ----------------------------------------------
+
+bool ends_block(Opcode op)
+{
+    return is_branch(op) || op == Opcode::JAL || op == Opcode::JALR ||
+           op == Opcode::ECALL;
+}
+
+/// Pause points of a run whose retired opcodes are `ops`: the start, the
+/// first instruction, a point inside a block and one right after a block
+/// ender (both in the second half, so JIT chains are patched by then),
+/// the last instruction, the end and past it.
+std::vector<u64> pause_points(const std::vector<Opcode>& ops)
+{
+    const u64 n = ops.size();
+    u64 inside = 0, after_ender = 0;
+    for (u64 k = n / 2; k < n && (!inside || !after_ender); ++k) {
+        // ops[k - 1] is the k-th retired instruction.
+        if (ends_block(ops[k - 1])) {
+            if (!after_ender) after_ender = k;
+        } else if (!inside && !ends_block(ops[k - 2])) {
+            inside = k;
+        }
+    }
+    return {0, 1, inside, after_ender, n - 1, n, n + 1000};
+}
+
+// A pause (run_cancellable's pause_at) stops every tier at exactly the
+// requested instret with the run still going, and the resumed run is
+// bit-identical to an unpaused one. Hot threshold 1 has the JIT chain
+// blocks before the pause, so its baked limit thresholds are live when
+// the limit moves: once on a fresh Machine per pause point, through
+// every pause point in turn on one Machine, and after a cancellation
+// (chains baked against fuel, then a lower limit). After a mid-run
+// pause the resumed run must still chain: thresholds baked against the
+// pause would bail on every edge.
+TEST(TierPause, ExactOnEveryTierAndResumesBitIdentical)
+{
+    const auto never = [] { return false; };
+    for (const char* name : {"crc32", "treeadd"}) {
+        SCOPED_TRACE(name);
+        const auto cp = hwst::compiler::compile(
+            hwst::workloads::workload(name).build(),
+            hwst::compiler::Scheme::Hwst128Tchk);
+        sim::Machine traced{cp.program, with_tier(cp.machine_config, kInterp)};
+        std::vector<Opcode> ops;
+        traced.set_trace(
+            [&](u64, const Instruction& in) { ops.push_back(in.op); });
+        const sim::RunResult full = traced.run();
+        ASSERT_EQ(ops.size(), full.instret);
+        const std::vector<u64> points = pause_points(ops);
+        ASSERT_GT(points[2], 0u);
+        ASSERT_GT(points[3], 0u);
+
+        for (const auto tier : {kInterp, kDbt, kJit}) {
+            SCOPED_TRACE(sim::tier_name(tier));
+            auto cfg = with_tier(cp.machine_config, tier);
+            cfg.jit_hot_threshold = 1;
+            sim::Machine unpaused{cp.program, cfg};
+            unpaused.run();
+            const u64 chained = unpaused.dbt_stats().chained;
+
+            sim::Machine cancelled{cp.program, cfg};
+            EXPECT_FALSE(cancelled
+                             .run_cancellable([] { return true; },
+                                              full.instret / 4)
+                             .has_value());
+            ASSERT_LT(cancelled.instret(), points[2]);
+            cancelled.run_cancellable(never, 4096, points[2]);
+            EXPECT_EQ(cancelled.instret(), points[2]);
+            EXPECT_TRUE(cancelled.running());
+            expect_bit_equal(*cancelled.run_cancellable(never), full);
+
+            sim::Machine stepped{cp.program, cfg};
+            for (const u64 k : points) {
+                SCOPED_TRACE("pause at " + std::to_string(k));
+                sim::Machine m{cp.program, cfg};
+                const auto paused = m.run_cancellable(never, 4096, k);
+                const auto step = stepped.run_cancellable(never, 4096, k);
+                ASSERT_TRUE(paused.has_value());
+                ASSERT_TRUE(step.has_value());
+                if (k >= full.instret) {
+                    EXPECT_FALSE(m.running());
+                    expect_bit_equal(*paused, full);
+                    expect_bit_equal(*step, full);
+                    continue;
+                }
+                EXPECT_EQ(m.instret(), k);
+                EXPECT_TRUE(m.running());
+                EXPECT_EQ(paused->instret, k);
+                EXPECT_EQ(paused->trap.kind, TrapKind::None);
+                EXPECT_EQ(stepped.instret(), k);
+                EXPECT_TRUE(stepped.running());
+                const bool mid_run = k >= full.instret / 2 &&
+                                     k < full.instret / 4 * 3;
+                if (m.tier() == kJit && mid_run) {
+                    EXPECT_GT(m.jit_stats().chain_patches, 0u);
+                }
+                const u64 chained_at_pause = m.dbt_stats().chained;
+                const auto resumed = m.run_cancellable(never);
+                ASSERT_TRUE(resumed.has_value());
+                EXPECT_FALSE(m.running());
+                expect_bit_equal(*resumed, full);
+                if (mid_run && tier != kInterp) {
+                    EXPECT_GT((m.dbt_stats().chained - chained_at_pause) * 4,
+                              chained);
+                }
+            }
+        }
     }
 }
 
