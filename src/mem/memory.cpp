@@ -6,6 +6,17 @@
 
 namespace hwst::mem {
 
+Memory::Memory(const Memory& other)
+    : regions_{other.regions_}, last_region_{other.last_region_}
+{
+    pages_.reserve(other.pages_.size());
+    for (const auto& [key, page] : other.pages_) {
+        auto copy = std::make_unique<u8[]>(kPageSize);
+        std::memcpy(copy.get(), page.get(), kPageSize);
+        pages_.emplace(key, std::move(copy));
+    }
+}
+
 void Memory::map_region(std::string name, u64 base, u64 size)
 {
     if (size == 0) throw common::ConfigError{"map_region: empty region"};

@@ -56,6 +56,14 @@ class Memory {
 public:
     static constexpr u64 kPageSize = 4096;
 
+    Memory() = default;
+    /// Deep copy (sim::Machine::fork): every page and region. The
+    /// translation cache starts empty, because its `host` pointers name
+    /// the source's pages; its stats start at zero and no invalidation
+    /// hook is installed.
+    Memory(const Memory& other);
+    Memory& operator=(const Memory&) = delete;
+
     /// Map [base, base+size) as accessible. Overlaps are allowed (the
     /// region list is a pure validity check, not an ownership model).
     /// Invalidates the translation cache.

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -791,6 +792,115 @@ TEST(TierPause, ExactOnEveryTierAndResumesBitIdentical)
                 }
             }
         }
+    }
+}
+
+// ---- machine fork ----------------------------------------------------
+
+// Machine::fork copies all simulated state and no host state. Forked at
+// the start, the first instruction, inside a block, after a block ender
+// and one instruction before the end, the parent and the fork each run
+// to the end bit-identical to an unforked run, on every tier. With hot
+// threshold 1 the parent runs translated (chained blocks, JIT code)
+// before each mid-run fork; the fork starts with empty translation
+// caches and zero host stats, and half the time it runs first, half the
+// time the parent does.
+TEST(MachineFork, ParentAndForkEachEndBitIdentical)
+{
+    const auto never = [] { return false; };
+    for (const char* name : {"crc32", "treeadd"}) {
+        SCOPED_TRACE(name);
+        const auto cp = hwst::compiler::compile(
+            hwst::workloads::workload(name).build(),
+            hwst::compiler::Scheme::Hwst128Tchk);
+        sim::Machine traced{cp.program, with_tier(cp.machine_config, kInterp)};
+        std::vector<Opcode> ops;
+        traced.set_trace(
+            [&](u64, const Instruction& in) { ops.push_back(in.op); });
+        const sim::RunResult full = traced.run();
+        std::vector<u64> points = pause_points(ops);
+        points.resize(5); // 0, 1, inside, after a block ender, golden - 1
+        ASSERT_EQ(points[4], full.instret - 1);
+
+        for (const auto tier : {kInterp, kDbt, kJit}) {
+            SCOPED_TRACE(sim::tier_name(tier));
+            auto cfg = with_tier(cp.machine_config, tier);
+            cfg.jit_hot_threshold = 1;
+            for (std::size_t i = 0; i < points.size(); ++i) {
+                const u64 k = points[i];
+                SCOPED_TRACE("fork at " + std::to_string(k));
+                sim::Machine parent{cp.program, cfg};
+                ASSERT_TRUE(parent.run_cancellable(never, 4096, k));
+                ASSERT_EQ(parent.instret(), k);
+                if (tier == kJit && k > full.instret / 2 &&
+                    parent.tier() == kJit) {
+                    EXPECT_GT(parent.jit_stats().translated, 0u);
+                }
+                const auto child = parent.fork();
+                EXPECT_TRUE(child->running());
+                EXPECT_EQ(child->instret(), k);
+                EXPECT_EQ(child->cycles(), parent.cycles());
+                EXPECT_EQ(child->pc(), parent.pc());
+                EXPECT_EQ(child->tier(), parent.tier());
+                EXPECT_EQ(child->dbt_stats().blocks, 0u);
+                EXPECT_EQ(child->jit_stats().translated, 0u);
+                EXPECT_EQ(child->memory().tlb_stats().hits, 0u);
+                EXPECT_EQ(child->memory().tlb_stats().misses, 0u);
+                std::optional<sim::RunResult> a, b;
+                if (i % 2 == 0) {
+                    a = child->run_cancellable(never);
+                    b = parent.run_cancellable(never);
+                } else {
+                    b = parent.run_cancellable(never);
+                    a = child->run_cancellable(never);
+                }
+                ASSERT_TRUE(a && b);
+                expect_bit_equal(*a, full);
+                expect_bit_equal(*b, full);
+                if (tier != kInterp && k > 0) {
+                    EXPECT_GT(child->dbt_stats().blocks, 0u);
+                }
+            }
+        }
+    }
+}
+
+// A fork owns its memory: taken after the parent has run translated
+// with a warm translation cache (whose entries point at the parent's
+// pages), a store in either machine never shows in the other, on pages
+// both have touched and on a page neither has.
+TEST(MachineFork, StoresStayInTheirOwnMachine)
+{
+    const auto never = [] { return false; };
+    const auto cp = hwst::compiler::compile(
+        hwst::workloads::workload("crc32").build(),
+        hwst::compiler::Scheme::Hwst128Tchk);
+    const u64 golden = sim::Machine{cp.program, cp.machine_config}.run().instret;
+    const auto& lay = cp.program.layout();
+    for (const auto tier : {kInterp, kDbt, kJit}) {
+        SCOPED_TRACE(sim::tier_name(tier));
+        auto cfg = with_tier(cp.machine_config, tier);
+        cfg.jit_hot_threshold = 1;
+        sim::Machine parent{cp.program, cfg};
+        ASSERT_TRUE(parent.run_cancellable(never, 4096, golden / 2));
+        const u64 sp = parent.reg(Reg::sp);
+        ASSERT_TRUE(parent.memory().tlb_holds(sp));
+        const auto child = parent.fork();
+        const u64 untouched = lay.heap_base + lay.heap_size - 4096;
+        ASSERT_EQ(parent.memory().load_u64(untouched), 0u);
+        for (const u64 addr : {sp, u64{lay.data_base}, untouched}) {
+            SCOPED_TRACE(addr);
+            const u64 before = parent.memory().load_u64(addr);
+            ASSERT_EQ(child->memory().load_u64(addr), before);
+            child->memory().store_u64(addr, before ^ 0x5a5a);
+            EXPECT_EQ(parent.memory().load_u64(addr), before);
+            parent.memory().store_u64(addr, before ^ 0xa5a5);
+            EXPECT_EQ(child->memory().load_u64(addr), before ^ 0x5a5a);
+            EXPECT_EQ(parent.memory().load_u64(addr), before ^ 0xa5a5);
+        }
+        child->set_reg(Reg::s11, 1);
+        parent.set_reg(Reg::s11, 2);
+        EXPECT_EQ(child->reg(Reg::s11), 1u);
     }
 }
 
