@@ -1,5 +1,6 @@
 #include "exec/engine.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
@@ -127,8 +128,21 @@ JobOutcome run_one_job(const Job& job, const EngineOptions& opts)
     return out;
 }
 
-std::vector<JobOutcome> Engine::run(std::span<const Job> jobs) const
+std::vector<JobOutcome> Engine::run(std::span<const Job> jobs,
+                                    std::span<const std::size_t> order) const
 {
+    if (!order.empty()) {
+        std::vector<char> seen(jobs.size(), 0);
+        const bool permutation =
+            order.size() == jobs.size() &&
+            std::all_of(order.begin(), order.end(), [&](std::size_t i) {
+                return i < jobs.size() && !seen[i]++;
+            });
+        if (!permutation)
+            throw common::ToolchainError{
+                "Engine::run: the dispatch order is not a permutation of "
+                "the jobs"};
+    }
     const EngineOptions opts = resolve_engine_options(opts_);
     std::vector<JobOutcome> outcomes(jobs.size());
     for (auto& o : outcomes) {
@@ -149,7 +163,8 @@ std::vector<JobOutcome> Engine::run(std::span<const Job> jobs) const
     // --resume replays it even with the cache gone.
     std::vector<std::size_t> pending;
     pending.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
+    for (std::size_t n = 0; n < jobs.size(); ++n) {
+        const std::size_t i = order.empty() ? n : order[n];
         if (jobs[i].key.empty()) {
             pending.push_back(i);
             continue;

@@ -151,7 +151,11 @@ public:
     const EngineOptions& options() const { return opts_; }
 
     /// Run every job and return one outcome per job, index-aligned.
-    std::vector<JobOutcome> run(std::span<const Job> jobs) const;
+    /// `order`, when given, is a permutation of the job indices that
+    /// workers take jobs in (default: index order); it changes neither
+    /// the outcome slots nor the journal keys.
+    std::vector<JobOutcome> run(std::span<const Job> jobs,
+                                std::span<const std::size_t> order = {}) const;
 
     /// Generic fan-out for harnesses whose per-job result is not a
     /// sim::RunResult (Juliet coverage chunks, fault records): runs
@@ -161,11 +165,13 @@ public:
     /// success, so R must be default-constructible. With a codec, each
     /// chunk participates in the checkpoint journal: finished payloads
     /// are persisted and replayed chunks are decoded back into out[i].
+    /// `order` is run()'s dispatch order.
     template <typename R>
     std::vector<JobOutcome> map(
         std::size_t count,
         const std::function<R(std::size_t, const JobContext&)>& fn,
-        std::vector<R>& out, const MapCodec<R>& codec = {}) const
+        std::vector<R>& out, const MapCodec<R>& codec = {},
+        std::span<const std::size_t> order = {}) const
     {
         out.assign(count, R{});
         std::vector<Job> jobs;
@@ -191,7 +197,7 @@ public:
                 .in_process = !codec.enabled(),
             });
         }
-        auto outcomes = run(jobs);
+        auto outcomes = run(jobs, order);
         if (codec.enabled()) {
             for (std::size_t i = 0; i < count; ++i) {
                 // Replayed and cache-served chunks never ran here;

@@ -38,8 +38,8 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
 #undef HWST_SB_LABEL
     };
 
-    SuperblockCache& sc = *m.sbcache_;
-    DbtStats& st = m.dbt_stats_;
+    SuperblockCache& sc = *m.host_.sbcache;
+    DbtStats& st = m.host_.dbt_stats;
     const TranslateEnv env{
         m.uops_.data(),
         static_cast<u32>(m.uops_.size()),

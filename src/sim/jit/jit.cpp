@@ -114,9 +114,9 @@ struct JitOps {
                      &m.instret_,
                      &m.pc_,
                      &m.last_load_rd_,
-                     &m.dbt_stats_.chained,
-                     &m.dbt_stats_.block_execs,
-                     &m.dbt_stats_.jalr_hits,
+                     &m.host_.dbt_stats.chained,
+                     &m.host_.dbt_stats.block_execs,
+                     &m.host_.dbt_stats.jalr_hits,
                      &m.mix_,
                      lay.lock_base,
                      lay.lock_entries * 8,

@@ -24,8 +24,8 @@ bool jit_supported()
 bool run_jit(Machine& m, const std::function<bool()>* cancel, u64 stride,
              u64 limit, Trap& out)
 {
-    if (!m.jit_) m.jit_ = std::make_unique<JitTier>(m);
-    JitTier& jt = *m.jit_;
+    if (!m.host_.jit) m.host_.jit = std::make_unique<JitTier>(m);
+    JitTier& jt = *m.host_.jit;
     if (!jt.ok()) {
         // Code region unavailable (mmap failure): degrade the ladder to
         // the dispatcher for the Machine's lifetime. Blocks translated
@@ -33,13 +33,13 @@ bool run_jit(Machine& m, const std::function<bool()>* cancel, u64 stride,
         // dispatcher cannot execute — flush them so the dispatcher
         // retranslates with its label table.
         m.tier_ = ExecTier::Dbt;
-        m.sbcache_->flush(m.dbt_stats_);
+        m.host_.sbcache->flush(m.host_.dbt_stats);
         return run_superblocks(m, cancel, stride, limit, out);
     }
 
-    SuperblockCache& sc = *m.sbcache_;
-    DbtStats& st = m.dbt_stats_;
-    JitStats& jst = m.jit_stats_;
+    SuperblockCache& sc = *m.host_.sbcache;
+    DbtStats& st = m.host_.dbt_stats;
+    JitStats& jst = m.host_.jit_stats;
     const TranslateEnv env{
         m.uops_.data(),
         static_cast<u32>(m.uops_.size()),

@@ -138,6 +138,44 @@ TEST(ExecEngine, MapCollectsTypedResultsInIndexOrder)
     }
 }
 
+// A dispatch order changes the order workers take jobs in, not the
+// slots their results land in; an order that is not a permutation of
+// the jobs is refused before anything runs.
+TEST(ExecEngine, MapTakesJobsInTheDispatchOrder)
+{
+    const Engine engine{EngineOptions{.jobs = 1}};
+    const std::vector<std::size_t> order{3, 0, 4, 1, 2};
+    std::vector<std::size_t> taken;
+    std::vector<std::size_t> out;
+    const auto outcomes = engine.map<std::size_t>(
+        order.size(),
+        [&](std::size_t i, const exec::JobContext&) {
+            taken.push_back(i);
+            return i * 10;
+        },
+        out, {}, order);
+    EXPECT_EQ(taken, order);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(outcomes[i].status, JobStatus::Ok);
+        EXPECT_EQ(out[i], i * 10);
+    }
+    for (const std::vector<std::size_t>& bad :
+         {std::vector<std::size_t>{0, 1, 2, 3},
+          std::vector<std::size_t>{0, 1, 2, 3, 3},
+          std::vector<std::size_t>{0, 1, 2, 3, 5}}) {
+        taken.clear();
+        EXPECT_THROW(engine.map<std::size_t>(
+                         order.size(),
+                         [&](std::size_t i, const exec::JobContext&) {
+                             taken.push_back(i);
+                             return i;
+                         },
+                         out, {}, bad),
+                     common::ToolchainError);
+        EXPECT_TRUE(taken.empty());
+    }
+}
+
 TEST(ExecEngine, DeriveSeedIsCoordinateStable)
 {
     const auto s = exec::derive_seed(0xC0FFEE, 1, 2, 3);

@@ -112,6 +112,35 @@ TEST(Cache, FlushDropsEverything)
     EXPECT_FALSE(c.would_hit(0x1000));
 }
 
+// A copy (sim::Machine::fork) carries the source's tags, LRU state and
+// recent lines, then evolves on its own: the two make the same hit and
+// eviction decisions as caches that lived through the same accesses
+// uncopied, whichever runs first.
+TEST(Cache, CopyEvolvesIndependently)
+{
+    CacheConfig cfg;
+    cfg.sets = 1;
+    cfg.ways = 2;
+    const u64 a = 0, b = 64, c = 128;
+    const auto warmed = [&] {
+        Cache cache{cfg};
+        cache.access(a);
+        cache.access(b);
+        return cache;
+    };
+    Cache source = warmed();
+    Cache copy{source};
+    Cache copy_ref = warmed(), source_ref = warmed();
+    // `a` hits through the second recent line, then `c` evicts the
+    // least recent line, `b`.
+    for (const u64 addr : {a, c, b, a})
+        EXPECT_EQ(copy.access(addr), copy_ref.access(addr));
+    for (const u64 addr : {c, b, a})
+        EXPECT_EQ(source.access(addr), source_ref.access(addr));
+    EXPECT_EQ(copy.stats().misses, copy_ref.stats().misses);
+    EXPECT_EQ(source.stats().misses, source_ref.stats().misses);
+}
+
 TEST(Cache, ConfigValidation)
 {
     CacheConfig bad;
